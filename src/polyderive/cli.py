@@ -57,6 +57,20 @@ def _emit(document: dict | str, out: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(report: dict, float_check: bool) -> None:
+    """Emit a report, with the float re-run attached when asked for."""
+    if float_check:
+        validation = float_cross_validate(report)
+        report["oracle_results"] = {
+            "ok": validation.ok,
+            "checks": validation.checks,
+            "mismatches": [
+                {"field": m.field, "detail": m.detail} for m in validation.mismatches
+            ],
+        }
+    _emit(report)
+
+
 def _summary(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -68,19 +82,20 @@ def _default_seed() -> int:
         return 0
 
 
+def _sample_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     polygon = polygon_from_json(_load_payload(args.file))
     report = check_report(polygon, source=args.file)
-    if args.float_check:
-        validation = float_cross_validate(report)
-        report["oracle_results"] = {
-            "ok": validation.ok,
-            "checks": validation.checks,
-            "mismatches": [
-                {"field": m.field, "detail": m.detail} for m in validation.mismatches
-            ],
-        }
-    _emit(report)
+    _emit_report(report, args.float_check)
     if report["genericity"]["ok"]:
         verdict = report["verdict"]
         _summary(
@@ -101,16 +116,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     report = derive_report(
         polygon, alpha=alpha, negative_root=args.negative_root, source=args.file
     )
-    if args.float_check:
-        validation = float_cross_validate(report)
-        report["oracle_results"] = {
-            "ok": validation.ok,
-            "checks": validation.checks,
-            "mismatches": [
-                {"field": m.field, "detail": m.detail} for m in validation.mismatches
-            ],
-        }
-    _emit(report)
+    _emit_report(report, args.float_check)
     block = report["derived_analysis"]
     notes = [f"planar={block['planarity']['planar']}"]
     if block.get("strongly_regular") is not None:
@@ -124,16 +130,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     polygon = polygon_from_json(_load_payload(args.file))
     report = analyze_report(polygon, source=args.file)
-    if args.float_check:
-        validation = float_cross_validate(report)
-        report["oracle_results"] = {
-            "ok": validation.ok,
-            "checks": validation.checks,
-            "mismatches": [
-                {"field": m.field, "detail": m.detail} for m in validation.mismatches
-            ],
-        }
-    _emit(report)
+    _emit_report(report, args.float_check)
     _summary(
         f"{args.file}: planar={report['planarity']['planar']}, "
         f"generic={report['genericity']['ok']}"
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", required=True, choices=tuple(SUITES) + ("all",)
     )
-    verify.add_argument("--samples", type=int, default=100)
+    verify.add_argument("--samples", type=_sample_count, default=100)
     verify.add_argument("--seed", type=int, default=_default_seed())
     verify.set_defaults(func=_cmd_verify)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polygon import NonGenericPolygonError, Polygon, deltas
+from .polygon import NonGenericPolygonError, Polygon, deltas, edge_vectors
 from .regularity import SupportSystem, build_support_system
 from .scalars import Scalar, scalar_sign
 from .vectors import Vec3, area_vector, cross, dot, mixed
@@ -38,9 +38,7 @@ class DerivedPolygon:
 
     @property
     def edges(self) -> tuple[Vec3, ...]:
-        points = self.vertices
-        count = len(points)
-        return tuple(points[(i + 1) % count] - points[i] for i in range(count))
+        return edge_vectors(self)
 
 
 def derive(system: SupportSystem) -> DerivedPolygon:

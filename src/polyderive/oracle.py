@@ -161,17 +161,24 @@ class _Recorder:
         self.checks = 0
         self.mismatches: list[FloatMismatch] = []
 
-    def close(self, field: str, exact: float, approx: float, scale: float = 1.0) -> None:
+    def _in_range(self, field: str, *values: float) -> bool:
+        """Count one check; a non-finite value fails it as out of float range."""
         self.checks += 1
+        if all(math.isfinite(value) for value in values):
+            return True
+        listed = ", ".join(repr(float(value)) for value in values)
+        self.mismatches.append(FloatMismatch(field, f"out of float range: {listed}"))
+        return False
+
+    def close(self, field: str, exact: float, approx: float, scale: float = 1.0) -> None:
         bound = self.tolerance * max(1.0, scale, abs(exact), abs(approx))
-        if abs(exact - approx) > bound:
+        if self._in_range(field, exact, approx, scale) and abs(exact - approx) > bound:
             self.mismatches.append(
                 FloatMismatch(field, f"exact {exact!r} vs float {approx!r}")
             )
 
     def small(self, field: str, value: float, scale: float) -> None:
-        self.checks += 1
-        if abs(value) > self.tolerance * max(1.0, scale):
+        if self._in_range(field, value, scale) and abs(value) > self.tolerance * max(1.0, scale):
             self.mismatches.append(
                 FloatMismatch(field, f"expected ~0, float path gives {value!r}")
             )
@@ -292,6 +299,7 @@ def _validate_polygon_block(
             )
 
 
+@np.errstate(all="ignore")
 def float_cross_validate(report: dict, tolerance: float = 1e-9) -> FloatValidation:
     """Re-run a report's pipeline in double precision and confirm its claims.
 
@@ -299,9 +307,18 @@ def float_cross_validate(report: dict, tolerance: float = 1e-9) -> FloatValidati
     ``tolerance``, taken relative to the magnitude of the largest value
     involved; coordinate growth through determinant products makes an
     absolute tolerance meaningless. Returns diagnostics naming each
-    disagreeing field rather than raising.
+    disagreeing field rather than raising; a value beyond double range,
+    exact or re-run, is an "out of float range" mismatch.
     """
     rec = _Recorder(tolerance)
+    try:
+        _rerun(rec, report)
+    except (OverflowError, ZeroDivisionError) as exc:
+        rec.mismatches.append(FloatMismatch("float_rerun", f"out of float range: {exc}"))
+    return FloatValidation(not rec.mismatches, rec.checks, tuple(rec.mismatches))
+
+
+def _rerun(rec: _Recorder, report: dict) -> None:
     verts = _float_rows(report["input_summary"]["vertices"])
     n = len(verts)
     edges = np.roll(verts, -1, axis=0) - verts
@@ -367,5 +384,3 @@ def float_cross_validate(report: dict, tolerance: float = 1e-9) -> FloatValidati
 
     if "planarity" in report or "area_vector" in report:
         _validate_polygon_block(rec, "analysis", report, verts)
-
-    return FloatValidation(not rec.mismatches, rec.checks, tuple(rec.mismatches))

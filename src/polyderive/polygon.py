@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .scalars import Scalar, scalar_sign
-from .vectors import ZERO_VEC, Vec3, cross, mixed
+from .vectors import ZERO_VEC, Vec3, area_vector, cross, mixed
 
 
 class NonGenericPolygonError(ValueError):
@@ -81,16 +81,19 @@ class GenericityReport:
 
 
 def is_generic(edges: Sequence[Vec3]) -> GenericityReport:
-    """Check nonzero consecutive cross products, then nonzero determinants."""
+    """Read genericity off the corner determinants, scanning pairs only if one is zero.
+
+    A collinear pair zeroes both determinants containing it; it is reported first.
+    """
     chain = tuple(edges)
+    values = deltas(chain)
+    if all(values):
+        return GenericityReport(True)
     count = len(chain)
     for i in range(count):
         if cross(chain[i], chain[(i + 1) % count]).is_zero():
             return GenericityReport(False, i + 1, "collinear_pair")
-    for i, value in enumerate(deltas(chain)):
-        if not value:
-            return GenericityReport(False, i + 1, "coplanar_triple")
-    return GenericityReport(True)
+    return GenericityReport(False, values.index(0) + 1, "coplanar_triple")
 
 
 def ensure_generic(edges: Sequence[Vec3]) -> None:
@@ -147,12 +150,12 @@ def delta_sign_pattern(delta_values: Sequence[Scalar]) -> SignPattern:
 def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
     """Obstruction for a closed edge list to be the derivative of some polygon.
 
-    Computed as the sum of cross(v_i, v_j) over ordered pairs drawn from the
-    first n-1 edges. The sum equals the cyclic cross-sum of the vertex
-    positions for any choice of base point, so a zero value is exactly the
-    condition that some support origin exists; that same equivalence makes
-    the result independent of which edge is labeled last, although the
-    formula appears to single it out.
+    Defined as the sum of cross(v_i, v_j) over ordered pairs drawn from the
+    first n-1 edges, it equals the area vector of the vertices rebuilt from
+    the edges from any base point, and is computed that way in O(n). A zero
+    value is exactly the condition that some support origin exists; the value
+    does not depend on which edge is labeled last, although the pair formula
+    appears to single it out.
     """
     chain = tuple(edges)
     total = ZERO_VEC
@@ -160,8 +163,4 @@ def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
         total = total + edge
     if not total.is_zero():
         raise ValueError("derivability defect is defined for closed edge lists only")
-    defect = ZERO_VEC
-    for i in range(len(chain) - 1):
-        for j in range(i + 1, len(chain) - 1):
-            defect = defect + cross(chain[i], chain[j])
-    return defect
+    return area_vector(Polygon.from_edges(chain).vertices)

@@ -119,8 +119,9 @@ def support_basis(
     re-checked; a failure would mean a bug, not bad input.
     """
     chain = tuple(edges)
-    ensure_generic(chain)
     values = tuple(delta_values) if delta_values is not None else deltas(chain)
+    if not all(values):
+        ensure_generic(chain)
     count = len(chain)
     coefficients = [Fraction(1)]
     for k in range(count - 1):
@@ -265,8 +266,9 @@ def build_support_system(
     twin system instead.
     """
     chain = tuple(edges)
-    ensure_generic(chain)
     values = deltas(chain)
+    if not all(values):
+        ensure_generic(chain)
     verdict = check_regularity(values)
     if not verdict.regular:
         raise IrregularPolygonError(verdict)

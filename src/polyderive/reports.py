@@ -13,7 +13,6 @@ from typing import Sequence
 from .derived import (
     DerivedPolygon,
     derive,
-    derived_deltas,
     hex_type,
     is_planar,
     planar_self_intersection,
@@ -24,7 +23,6 @@ from .polygon import (
     NonGenericPolygonError,
     Polygon,
     deltas,
-    derivability_defect,
     edge_vectors,
     is_generic,
 )
@@ -99,10 +97,11 @@ def _input_summary(polygon: Polygon, source: str | None) -> dict:
     return summary
 
 
-def _genericity_json(edges: Sequence[Vec3]) -> dict:
-    report = is_generic(edges)
-    if report.ok:
+def _genericity_json(edges: Sequence[Vec3], values: Sequence[Scalar]) -> dict:
+    """Nonzero determinants mean a generic polygon; only a zero one needs the scan."""
+    if all(values):
         return {"ok": True}
+    report = is_generic(edges)
     return {"ok": False, "index": report.index, "kind": report.kind}
 
 
@@ -119,19 +118,31 @@ def _verdict_json(verdict: RegularityVerdict) -> dict:
     }
 
 
-def check_report(polygon: Polygon, source: str | None = None) -> dict:
-    """Genericity, corner determinants, and the regularity verdict."""
+def _checked(
+    polygon: Polygon, source: str | None
+) -> tuple[dict, tuple[Vec3, ...], tuple[Scalar, ...], RegularityVerdict | None]:
+    """The check report plus the edges, determinants and verdict behind it.
+
+    The verdict is None when the polygon is not generic.
+    """
     edges = edge_vectors(polygon)
+    values = deltas(edges)
     report = {
         "command": "check",
         "input_summary": _input_summary(polygon, source),
-        "genericity": _genericity_json(edges),
+        "genericity": _genericity_json(edges, values),
     }
+    verdict = None
     if report["genericity"]["ok"]:
-        values = deltas(edges)
+        verdict = check_regularity(values)
         report["deltas"] = [format_scalar(value) for value in values]
-        report["verdict"] = _verdict_json(check_regularity(values))
-    return report
+        report["verdict"] = _verdict_json(verdict)
+    return report, edges, values, verdict
+
+
+def check_report(polygon: Polygon, source: str | None = None) -> dict:
+    """Genericity, corner determinants, and the regularity verdict."""
+    return _checked(polygon, source)[0]
 
 
 def _system_json(system: SupportSystem, basis: SupportBasis, verified: bool) -> dict:
@@ -171,22 +182,25 @@ def _hexagon_blocks(block: dict, values: Sequence[Scalar], polygon: DerivedPolyg
 
 def _analysis_block(derived: DerivedPolygon) -> dict:
     planarity = is_planar(derived)
+    edges = derived.edges
+    # The derivability defect of a closed edge list equals the area vector of
+    # its vertices; both fields stay in the report.
+    area = vec3_to_json(area_vector(derived.vertices))
     block: dict = {
         "vertices": [vec3_to_json(vertex) for vertex in derived.vertices],
-        "edges": [vec3_to_json(edge) for edge in derived.edges],
+        "edges": [vec3_to_json(edge) for edge in edges],
         "planarity": {"planar": planarity.planar, "witness": planarity.witness},
-        "area_vector": vec3_to_json(area_vector(derived.vertices)),
-        "derivability_defect": vec3_to_json(derivability_defect(derived.edges)),
+        "area_vector": area,
+        "derivability_defect": list(area),
     }
-    generic = is_generic(derived.edges).ok
+    values = deltas(edges)
+    generic = all(values)
     block["derived_generic"] = generic
-    block["derived_deltas"] = (
-        [format_scalar(value) for value in derived_deltas(derived)] if generic else None
-    )
+    block["derived_deltas"] = [format_scalar(value) for value in values] if generic else None
     if derived.n == 4 and planarity.planar:
         block["self_intersecting"] = planar_self_intersection(derived)
     if derived.n == 6 and generic:
-        _hexagon_blocks(block, derived_deltas(derived), derived)
+        _hexagon_blocks(block, values, derived)
     return block
 
 
@@ -201,16 +215,13 @@ def derive_report(
     Raises NonGenericPolygonError or IrregularPolygonError when the polygon
     has no support system; the CLI turns those into failure reports.
     """
-    report = check_report(polygon, source)
+    report, edges, values, verdict = _checked(polygon, source)
     report["command"] = "derive"
-    if not report["genericity"]["ok"]:
+    if verdict is None:
         info = report["genericity"]
         raise NonGenericPolygonError(
             f"polygon is not generic at edge {info['index']}: {info['kind']}"
         )
-    edges = edge_vectors(polygon)
-    values = deltas(edges)
-    verdict = check_regularity(values)
     if not verdict.regular:
         raise IrregularPolygonError(verdict)
     basis = support_basis(edges, values)
@@ -247,26 +258,26 @@ def derive_report(
 def analyze_report(polygon: Polygon, source: str | None = None) -> dict:
     """Structural analysis of a polygon read as a candidate derived polygon."""
     edges = edge_vectors(polygon)
+    values = deltas(edges)
     candidate = DerivedPolygon(polygon.vertices)
     planarity = is_planar(candidate)
+    area = vec3_to_json(area_vector(polygon.vertices))
     report: dict = {
         "command": "analyze",
         "input_summary": _input_summary(polygon, source),
-        "genericity": _genericity_json(edges),
+        "genericity": _genericity_json(edges, values),
         "planarity": {"planar": planarity.planar, "witness": planarity.witness},
-        "area_vector": vec3_to_json(area_vector(polygon.vertices)),
-        "derivability_defect": vec3_to_json(derivability_defect(edges)),
+        "area_vector": area,
+        "derivability_defect": list(area),
     }
     generic = report["genericity"]["ok"]
-    report["deltas"] = (
-        [format_scalar(value) for value in deltas(edges)] if generic else None
-    )
+    report["deltas"] = [format_scalar(value) for value in values] if generic else None
     if polygon.n == 3:
         report["note"] = "triangles are trivially planar and never generic"
     if polygon.n == 4 and planarity.planar:
         report["self_intersecting"] = planar_self_intersection(candidate)
     if polygon.n == 6 and generic:
-        _hexagon_blocks(report, deltas(edges), candidate)
+        _hexagon_blocks(report, values, candidate)
     return report
 
 
@@ -276,39 +287,26 @@ def plot_lines(payload: dict) -> str:
     Accepts either a polygon payload or a full derive/analyze report; reports
     plot the derived polygon when one is present.
     """
-    annotations: list[str] = []
-    plane_tags: dict[int, int] = {}
     if "derived_analysis" in payload:
         block = payload["derived_analysis"]
-        rows = block["vertices"]
-        annotations.append(f"planar {'true' if block['planarity']['planar'] else 'false'}")
-        two_plane = block.get("two_plane")
-        if isinstance(two_plane, dict) and two_plane.get("offsets_equal"):
-            for index in range(len(rows)):
-                plane_tags[index] = 1 if index % 2 == 0 else 2
     elif "vertices" in payload:
-        rows = payload["vertices"]
-        if "planarity" in payload:
-            annotations.append(
-                f"planar {'true' if payload['planarity']['planar'] else 'false'}"
-            )
-        two_plane = payload.get("two_plane")
-        if isinstance(two_plane, dict) and two_plane.get("offsets_equal"):
-            for index in range(len(rows)):
-                plane_tags[index] = 1 if index % 2 == 0 else 2
+        block = payload
     elif "input_summary" in payload:
-        rows = payload["input_summary"]["vertices"]
+        block = {"vertices": payload["input_summary"]["vertices"]}
     else:
         raise PolygonFormatError("nothing to plot: no vertices in payload")
 
-    points = [vec3_from_json(row) for row in rows]
+    points = [vec3_from_json(row) for row in block["vertices"]]
+    two_plane = block.get("two_plane")
+    tagged = isinstance(two_plane, dict) and bool(two_plane.get("offsets_equal"))
     lines = [f"# polyderive plot data, {len(points)} vertices"]
-    lines.extend(f"# {note}" for note in annotations)
+    if "planarity" in block:
+        lines.append(f"# planar {'true' if block['planarity']['planar'] else 'false'}")
     for index, point in enumerate(points):
         x, y, z = point.to_floats()
         row = f"v {index + 1} {x:.17g} {y:.17g} {z:.17g}"
-        if index in plane_tags:
-            row += f" plane={plane_tags[index]}"
+        if tagged:
+            row += f" plane={1 + index % 2}"
         lines.append(row)
     for index in range(len(points)):
         lines.append(f"e {index + 1} {(index + 1) % len(points) + 1}")

@@ -21,20 +21,18 @@ class RadicandMismatchError(ValueError):
     """Two extension values with different radicands were combined."""
 
 
-def rational(numerator: int = 0, denominator: int = 1) -> Fraction:
-    """Canonical rational from an integer pair.
-
-    Reduction and sign normalization are automatic; a zero denominator raises
-    ``ZeroDivisionError``.
-    """
-    return Fraction(numerator, denominator)
+# Python's default limit on the digits of an integer string, which already
+# bounds a decimal mantissa; the same bound on the exponent keeps "1e999999999"
+# from building a power of ten that size.
+_MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a ``"p/q"`` string, or a decimal string.
 
-    Decimal strings convert exactly (power-of-ten denominators). Binary floats
-    are rejected: accepting them would smuggle rounding error into an exact
+    Decimal strings convert exactly (power-of-ten denominators); their
+    exponent may not exceed 4300 in absolute value. Binary floats are
+    rejected: accepting them would smuggle rounding error into an exact
     pipeline.
     """
     if isinstance(value, bool):
@@ -42,16 +40,18 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            exponent = int(text.upper().partition("E")[2] or 0)
+        except ValueError:
+            exponent = 0  # no integer exponent; Fraction judges the string below
+        if abs(exponent) > _MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {value!r} is beyond ±{_MAX_DECIMAL_EXPONENT}")
+        try:
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise TypeError(f"cannot parse rational from {type(value).__name__} value {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """``"p/q"``, or just ``"p"`` when the denominator is one."""
-    return str(value)
 
 
 def _sign_of_fraction(value: Fraction) -> int:
@@ -257,10 +257,6 @@ def scalar_sign(value: Scalar | int) -> int:
     if isinstance(value, QuadExt):
         return value.sign()
     return _sign_of_fraction(Fraction(value))
-
-
-def scalar_to_float(value: Scalar | int) -> float:
-    return float(value)
 
 
 def format_scalar(value: Scalar | int) -> str | dict[str, str]:

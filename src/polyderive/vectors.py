@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .scalars import QuadExt, Scalar, parse_rational
 
@@ -38,9 +38,6 @@ class Vec3:
 
     __rmul__ = __mul__
 
-    def map(self, fn: Callable[[Scalar], Scalar]) -> Vec3:
-        return Vec3(fn(self.x), fn(self.y), fn(self.z))
-
     def is_zero(self) -> bool:
         return not (self.x or self.y or self.z)
 
@@ -57,10 +54,6 @@ def _component(value: object) -> Scalar:
     if isinstance(value, (int, str)):
         return parse_rational(value)
     raise TypeError(f"cannot build a vector component from {value!r}")
-
-
-def vec3(x: object, y: object, z: object) -> Vec3:
-    return Vec3.of(x, y, z)
 
 
 ZERO_VEC = Vec3(Fraction(0), Fraction(0), Fraction(0))

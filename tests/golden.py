@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from polyderive import Polygon, Vec3, vec3
+from polyderive import Polygon, Vec3
 from polyderive.reports import polygon_from_json
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,7 +28,7 @@ def fixture_polygon(name: str) -> Polygon:
 
 
 def vecs(*rows) -> tuple[Vec3, ...]:
-    return tuple(vec3(*row) for row in rows)
+    return tuple(Vec3.of(*row) for row in rows)
 
 
 def fracs(*values) -> tuple[Fraction, ...]:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,17 @@ QUADRANGLE = str(FIXTURES_DIR / "quadrangle.json")
 PENTAGON = str(FIXTURES_DIR / "pentagon.json")
 HEXAGON = str(FIXTURES_DIR / "hexagon_regular.json")
 STRONGLY_REGULAR = str(FIXTURES_DIR / "hexagon_strongly_regular.json")
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+# Coordinates near 1e120 give corner determinants near 1e360, beyond double range.
+HUGE_PENTAGON = {
+    "vertices": [
+        ["0", "0", "0"],
+        ["1e120", "0", "0"],
+        ["1e120", "1e120", "0"],
+        ["1e120", "1e120", "1e120"],
+        ["3e120", "-1e120", "4e120"],
+    ]
+}
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -78,6 +93,35 @@ class TestCheck:
         code, report = run_json(capsys, "check", QUADRANGLE, "--float-check")
         assert code == 0
         assert report["oracle_results"]["ok"]
+
+    def test_huge_decimal_exponent_is_a_usage_error(self, tmp_path):
+        # Run in a child process with a timeout: parsing such an exponent
+        # without a bound builds a power of ten with a billion digits.
+        path = tmp_path / "huge.json"
+        vertices = [["1e999999999", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        path.write_text(json.dumps({"vertices": vertices}))
+        paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run(
+            [sys.executable, "-m", "polyderive.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "exponent" in result.stderr
+
+    @pytest.mark.parametrize("command", [["check"], ["derive"], ["analyze"]])
+    def test_float_check_reports_values_beyond_double_range(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_PENTAGON))
+        code, report = run_json(capsys, *command, str(path), "--float-check")
+        assert code == 0
+        oracle = report["oracle_results"]
+        assert not oracle["ok"]
+        assert any("out of float range" in m["detail"] for m in oracle["mismatches"])
 
 
 class TestDerive:
@@ -243,6 +287,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_a_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--suite", "all", "--samples", samples, "--seed", "0"])
+        assert excinfo.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -15,6 +15,7 @@ from polyderive import (
     HexType,
     NonGenericPolygonError,
     SupportSystem,
+    Vec3,
     area_vector,
     build_support_system,
     deltas,
@@ -30,7 +31,6 @@ from polyderive import (
     second_derivative_type,
     strongly_regular_check,
     two_plane_decomposition,
-    vec3,
 )
 
 
@@ -58,7 +58,7 @@ class TestDerive:
 
     def test_edges_sum_to_zero(self):
         derived = hexagon_derivative(golden.REGULAR_HEXAGON_EDGES, Fraction(2))
-        total = vec3(0, 0, 0)
+        total = Vec3.of(0, 0, 0)
         for edge in derived.edges:
             total = total + edge
         assert total.is_zero()
@@ -170,7 +170,7 @@ class TestTwoPlaneDecomposition:
     def test_golden_hexagon_split(self):
         derived = hexagon_derivative(golden.REGULAR_HEXAGON_EDGES)
         split = two_plane_decomposition(derived)
-        assert split.normal == vec3("1/2", "17/4", "9/2")
+        assert split.normal == Vec3.of("1/2", "17/4", "9/2")
         assert split.odd_offsets == (0, 0, 0)
         assert split.even_offsets == (Fraction(-4), Fraction(-4), Fraction(-4))
         assert split.parallel
@@ -185,7 +185,7 @@ class TestTwoPlaneDecomposition:
     def test_perturbed_even_vertex_is_detected(self):
         derived = hexagon_derivative(golden.REGULAR_HEXAGON_EDGES)
         vertices = list(derived.vertices)
-        vertices[3] = vertices[3] + vec3(0, 0, "1/7")
+        vertices[3] = vertices[3] + Vec3.of(0, 0, "1/7")
         split = two_plane_decomposition(DerivedPolygon(tuple(vertices)))
         assert not split.parallel
 

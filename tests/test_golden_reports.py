@@ -34,15 +34,8 @@ FIXTURES = [
     ("fixtures/hexagon_regular.json", True),
     ("fixtures/hexagon_strongly_regular.json", True),
 ]
-GENERATED = [
-    (kind, seed, even)
-    for kind, even in (("quad", True), ("pentagon", False), ("hexagon-lift", True), ("alt-sign", True))
-    for seed in (1, 2)
-]
-
-
-def _stem(path: str) -> str:
-    return Path(path).stem
+KINDS = [("quad", True), ("pentagon", False), ("hexagon-lift", True), ("alt-sign", True)]
+GENERATED = [(kind, seed, even) for kind, even in KINDS for seed in (1, 2)]
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -51,9 +44,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         (f"inputs/{kind}_s{seed}.json", ["generate", "--kind", kind, "--seed", str(seed)])
         for kind, seed, _ in GENERATED
     ]
-    polygons = FIXTURES + [(f"{INPUTS}/{kind}_s{seed}.json", even) for kind, seed, even in GENERATED]
-    for path, even in polygons:
-        stem = _stem(path)
+    generated = [(f"{INPUTS}/{kind}_s{seed}.json", even) for kind, seed, even in GENERATED]
+    for path, even in FIXTURES + generated:
+        stem = Path(path).stem
         cases.append((f"check_{stem}.out", ["check", "--float-check", path]))
         cases.append((f"analyze_{stem}.out", ["analyze", "--float-check", path]))
         variants = (
@@ -89,13 +82,6 @@ def _cases() -> list[tuple[str, list[str]]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, stdout.getvalue()
-
-
 def test_every_case_has_a_frozen_exit_code():
     frozen = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
     assert sorted(frozen) == sorted(name for name, _ in CASES)
@@ -115,8 +101,10 @@ def freeze() -> None:
     os.chdir(REPO_ROOT)
     codes = {}
     for name, argv in CASES:
-        codes[name], out = _run(argv)
-        (GOLDEN_DIR / name).write_bytes(out.encode("utf-8"))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            codes[name] = cli.main(argv)
+        (GOLDEN_DIR / name).write_bytes(stdout.getvalue().encode("utf-8"))
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

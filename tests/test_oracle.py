@@ -14,6 +14,7 @@ from polyderive import (
     GenConfig,
     NonGenericPolygonError,
     Polygon,
+    Vec3,
     alternating_product_identity,
     build_support_matrix,
     derived_relation_defects,
@@ -21,7 +22,6 @@ from polyderive import (
     regular_hexagon_via_lift,
     row_sum_defect,
     submatrix_delta,
-    vec3,
 )
 from polyderive.reports import analyze_report, check_report, derive_report
 
@@ -32,7 +32,7 @@ def random_six(rng: random.Random) -> tuple:
     def coord() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    return tuple(vec3(coord(), coord(), coord()) for _ in range(6))
+    return tuple(Vec3.of(coord(), coord(), coord()) for _ in range(6))
 
 
 class TestSupportMatrix:
@@ -178,3 +178,23 @@ class TestFloatCrossValidation:
         assert any(
             m.field.startswith("support_system.vectors[4]") for m in validation.mismatches
         )
+
+    def test_infinite_exact_and_float_values_do_not_pass(self):
+        # Coordinates near 1e120 send the float determinants to infinity, and
+        # b*sqrt(d) = 1e300 * 1e150 overflows the exact side's float form too;
+        # two infinities must be reported, not compared.
+        vertices = [
+            ["0", "0", "0"],
+            ["1e120", "0", "0"],
+            ["1e120", "1e120", "0"],
+            ["1e120", "1e120", "1e120"],
+            ["3e120", "-1e120", "4e120"],
+        ]
+        report = {
+            "input_summary": {"n": 5, "vertices": vertices},
+            "deltas": [{"a": "0", "b": "1e300", "d": "1e300"}] * 5,
+        }
+        validation = float_cross_validate(report)
+        assert not validation.ok
+        assert validation.checks == 5
+        assert all(m.detail.startswith("out of float range") for m in validation.mismatches)

@@ -12,7 +12,9 @@ from golden import det3, vecs
 from polyderive import (
     NonGenericPolygonError,
     Polygon,
+    Vec3,
     area_vector,
+    cross,
     delta_sign_pattern,
     deltas,
     derivability_defect,
@@ -20,7 +22,6 @@ from polyderive import (
     ensure_generic,
     is_generic,
     mirror,
-    vec3,
 )
 
 UNIT_SQUARE = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
@@ -30,7 +31,7 @@ def random_polygon(rng: random.Random, n: int) -> Polygon:
     def coord() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    return Polygon(tuple(vec3(coord(), coord(), coord()) for _ in range(n)))
+    return Polygon(tuple(Vec3.of(coord(), coord(), coord()) for _ in range(n)))
 
 
 class TestPolygonModel:
@@ -57,7 +58,7 @@ class TestEdgeVectors:
     def test_closure(self):
         rng = random.Random(11)
         for _ in range(20):
-            total = vec3(0, 0, 0)
+            total = Vec3.of(0, 0, 0)
             for edge in edge_vectors(random_polygon(rng, rng.randint(3, 8))):
                 total = total + edge
             assert total.is_zero()
@@ -164,11 +165,11 @@ class TestSignPattern:
 class TestDerivabilityDefect:
     def test_triangle_direct_expansion(self):
         edges = vecs((1, 0, 0), (0, 1, 0), (-1, -1, 0))
-        assert derivability_defect(edges) == vec3(0, 0, 1)
+        assert derivability_defect(edges) == Vec3.of(0, 0, 1)
 
     def test_strongly_regular_hexagon_is_not_a_derivative(self):
         defect = derivability_defect(golden.STRONGLY_REGULAR_HEXAGON_EDGES)
-        assert defect == vec3(7, "-7/2", "-7/2")
+        assert defect == Vec3.of(7, "-7/2", "-7/2")
         assert not defect.is_zero()
 
     def test_derived_polygon_edges_have_zero_defect(self):
@@ -183,14 +184,19 @@ class TestDerivabilityDefect:
             derivability_defect(vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_matches_anchored_area_vector(self):
-        # Independent oracle: the defect equals the cyclic cross-sum of the
-        # vertex positions when the first vertex sits at the origin.
+        # Independent oracle: the defining sum of cross(v_i, v_j) over pairs
+        # i < j of the first n-1 edges, which the library replaces by the
+        # area vector of the vertices rebuilt from the edges.
         rng = random.Random(31)
         for _ in range(20):
             polygon = random_polygon(rng, rng.choice((4, 5, 6)))
             edges = edge_vectors(polygon)
-            anchored = Polygon.from_edges(edges)
-            assert derivability_defect(edges) == area_vector(anchored.vertices)
+            pair_sum = Vec3.of(0, 0, 0)
+            for i in range(len(edges) - 1):
+                for j in range(i + 1, len(edges) - 1):
+                    pair_sum = pair_sum + cross(edges[i], edges[j])
+            assert derivability_defect(edges) == pair_sum
+            assert pair_sum == area_vector(polygon.vertices)
 
     def test_is_invariant_under_cyclic_relabeling(self):
         # The formula singles out the last edge but the value does not

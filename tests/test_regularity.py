@@ -18,6 +18,7 @@ from polyderive import (
     Polygon,
     QuadExt,
     SupportSystem,
+    Vec3,
     build_support_system,
     canonical_alpha,
     check_regularity,
@@ -32,12 +33,11 @@ from polyderive import (
     regular_hexagon_via_lift,
     support_basis,
     support_system,
-    vec3,
     verify_support,
 )
 
 coords = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-vectors = st.builds(lambda x, y, z: vec3(x, y, z), coords, coords, coords)
+vectors = st.builds(lambda x, y, z: Vec3.of(x, y, z), coords, coords, coords)
 
 
 class TestCheckRegularity:
@@ -84,7 +84,7 @@ class TestSupportBasis:
     def test_regular_hexagon_chain(self):
         basis = support_basis(golden.REGULAR_HEXAGON_EDGES)
         assert basis.vectors == golden.REGULAR_HEXAGON_SUPPORT
-        assert basis.vectors[3] == vec3("-34/9", "-14/9", 2)
+        assert basis.vectors[3] == Vec3.of("-34/9", "-14/9", 2)
 
     def test_coefficient_recurrence(self):
         values = golden.REGULAR_HEXAGON_DELTAS
@@ -111,7 +111,7 @@ class TestClosureDefect:
 
     def test_pentagon_defect(self):
         edges = golden.PENTAGON_EDGES
-        assert closure_defect(support_basis(edges), edges) == vec3("3/5", 0, 0)
+        assert closure_defect(support_basis(edges), edges) == Vec3.of("3/5", 0, 0)
 
     def test_lifted_hexagons_close(self):
         for seed in range(5):
@@ -221,12 +221,12 @@ class TestVerifySupport:
 
 class TestNestedCrossIdentity:
     def test_basis_triple(self):
-        left, right = nested_cross_identity(vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
-        assert left == right == vec3(0, 1, 0)
+        left, right = nested_cross_identity(Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1))
+        assert left == right == Vec3.of(0, 1, 0)
 
     def test_quadrangle_edge_triple(self):
         left, right = nested_cross_identity(*golden.QUADRANGLE_EDGES[:3])
-        assert left == right == vec3(9, 18, -9)
+        assert left == right == Vec3.of(9, 18, -9)
 
     @given(vectors, vectors, vectors)
     def test_holds_on_random_triples(self, a, b, c):
@@ -249,7 +249,7 @@ class TestFamilyInvariants:
         while found < 20:
             polygon = Polygon(
                 tuple(
-                    vec3(
+                    Vec3.of(
                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)),

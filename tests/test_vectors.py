@@ -17,7 +17,6 @@ from polyderive import (
     cross,
     dot,
     mixed,
-    vec3,
 )
 
 coords = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -26,41 +25,41 @@ vectors = st.builds(Vec3, coords, coords, coords)
 
 class TestVecOps:
     def test_construction_coerces_strings_and_ints(self):
-        v = vec3("1/2", -3, "0.5")
+        v = Vec3.of("1/2", -3, "0.5")
         assert v == Vec3(Fraction(1, 2), Fraction(-3), Fraction(1, 2))
 
     def test_add_sub_neg_scale(self):
-        a, b = vec3(1, 2, 3), vec3(4, 5, 6)
-        assert a + b == vec3(5, 7, 9)
-        assert b - a == vec3(3, 3, 3)
-        assert -a == vec3(-1, -2, -3)
-        assert a * Fraction(1, 2) == vec3("1/2", 1, "3/2")
-        assert Fraction(2) * a == vec3(2, 4, 6)
+        a, b = Vec3.of(1, 2, 3), Vec3.of(4, 5, 6)
+        assert a + b == Vec3.of(5, 7, 9)
+        assert b - a == Vec3.of(3, 3, 3)
+        assert -a == Vec3.of(-1, -2, -3)
+        assert a * Fraction(1, 2) == Vec3.of("1/2", 1, "3/2")
+        assert Fraction(2) * a == Vec3.of(2, 4, 6)
 
     def test_scaling_by_extension_element(self):
         root = QuadExt.sqrt(2)
-        scaled = vec3(1, 0, 2) * root
+        scaled = Vec3.of(1, 0, 2) * root
         assert scaled.x == root
         assert scaled.z == QuadExt(0, 2, 2)
 
     def test_is_zero_and_iter(self):
-        assert vec3(0, 0, 0).is_zero()
-        assert not vec3(0, 1, 0).is_zero()
-        assert tuple(vec3(1, 2, 3)) == (Fraction(1), Fraction(2), Fraction(3))
+        assert Vec3.of(0, 0, 0).is_zero()
+        assert not Vec3.of(0, 1, 0).is_zero()
+        assert tuple(Vec3.of(1, 2, 3)) == (Fraction(1), Fraction(2), Fraction(3))
 
     def test_to_floats(self):
-        assert vec3("1/2", 0, -2).to_floats() == (0.5, 0.0, -2.0)
+        assert Vec3.of("1/2", 0, -2).to_floats() == (0.5, 0.0, -2.0)
 
 
 class TestDot:
     def test_orthogonal_axes(self):
-        assert dot(vec3(1, 0, 0), vec3(0, 1, 0)) == 0
+        assert dot(Vec3.of(1, 0, 0), Vec3.of(0, 1, 0)) == 0
 
     def test_support_vector_is_orthogonal_to_edge(self):
-        assert dot(vec3(1, 1, 2), vec3(-5, 3, 1)) == 0
+        assert dot(Vec3.of(1, 1, 2), Vec3.of(-5, 3, 1)) == 0
 
     def test_direct_expansion(self):
-        assert dot(vec3(2, 2, 1), vec3(3, -1, 1)) == 5
+        assert dot(Vec3.of(2, 2, 1), Vec3.of(3, -1, 1)) == 5
 
     def test_radicand_mismatch_raises(self):
         a = Vec3(QuadExt(1, 1, 2), QuadExt(0, 0, 2), QuadExt(0, 0, 2))
@@ -71,21 +70,21 @@ class TestDot:
 
 class TestCross:
     def test_basis(self):
-        assert cross(vec3(1, 0, 0), vec3(0, 1, 0)) == vec3(0, 0, 1)
+        assert cross(Vec3.of(1, 0, 0), Vec3.of(0, 1, 0)) == Vec3.of(0, 0, 1)
 
     def test_edge_pair(self):
-        assert cross(vec3(1, 1, 2), vec3(1, 2, -1)) == vec3(-5, 3, 1)
+        assert cross(Vec3.of(1, 1, 2), Vec3.of(1, 2, -1)) == Vec3.of(-5, 3, 1)
 
     def test_support_pair(self):
-        assert cross(vec3(2, 2, 1), vec3(3, -1, 1)) == vec3(3, 1, -8)
+        assert cross(Vec3.of(2, 2, 1), Vec3.of(3, -1, 1)) == Vec3.of(3, 1, -8)
 
 
 class TestMixed:
     def test_identity_matrix(self):
-        assert mixed(vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)) == 1
+        assert mixed(Vec3.of(1, 0, 0), Vec3.of(0, 1, 0), Vec3.of(0, 0, 1)) == 1
 
     def test_worked_determinant(self):
-        assert mixed(vec3(0, 0, 1), vec3(2, -1, 3), vec3(-1, 5, 2)) == 9
+        assert mixed(Vec3.of(0, 0, 1), Vec3.of(2, -1, 3), Vec3.of(-1, 5, 2)) == 9
 
     def test_agrees_with_cofactor_expansion(self):
         rows = vecs((2, -7, 1), ("1/2", 3, -4), (5, 0, "2/3"))
@@ -94,7 +93,7 @@ class TestMixed:
 
 class TestAreaVector:
     def test_unit_right_triangle(self):
-        assert area_vector(vecs((0, 0, 0), (1, 0, 0), (0, 1, 0))) == vec3(0, 0, 1)
+        assert area_vector(vecs((0, 0, 0), (1, 0, 0), (0, 1, 0))) == Vec3.of(0, 0, 1)
 
     def test_zero_area_pentagon_in_offset_plane(self):
         points = vecs((2, 2, 1), (3, -1, 1), (-3, 1, 1), (-4, 0, 1), (-1, -1, 1))
