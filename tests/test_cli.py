@@ -101,7 +101,7 @@ class TestCheck:
         vertices = [["1e999999999", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         path.write_text(json.dumps({"vertices": vertices}))
         paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         result = subprocess.run(
             [sys.executable, "-m", "polyderive.cli", "check", str(path)],
             capture_output=True,
@@ -113,11 +113,11 @@ class TestCheck:
         assert result.stdout == ""
         assert "exponent" in result.stderr
 
-    @pytest.mark.parametrize("command", [["check"], ["derive"], ["analyze"]])
+    @pytest.mark.parametrize("command", ["check", "derive", "analyze"])
     def test_float_check_reports_values_beyond_double_range(self, capsys, tmp_path, command):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(HUGE_PENTAGON))
-        code, report = run_json(capsys, *command, str(path), "--float-check")
+        code, report = run_json(capsys, command, str(path), "--float-check")
         assert code == 0
         oracle = report["oracle_results"]
         assert not oracle["ok"]
