@@ -5,7 +5,7 @@ Each case runs ``cli.main`` in-process from the repository root, so the
 case lives in ``tests/golden_reports/<name>.out`` (generated inputs in
 ``inputs/``), and the expected exit codes in ``exit_codes.json``.
 
-The outputs were frozen before the report builders were changed to run each
+The outputs were frozen before ``reports.py`` was changed to run each
 pipeline stage once. A change that alters a report on purpose refreezes them
 with ``PYTHONPATH=src python tests/test_golden_reports.py`` and says why.
 """
