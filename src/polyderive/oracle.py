@@ -4,9 +4,9 @@ The exact pipeline is cross-validated two ways. First, determinant
 identities that hold unconditionally (or under closure alone) are evaluated
 on arbitrary six-vector samples, independent of how support systems are
 constructed. Second, whole analysis reports are re-derived in double
-precision with numpy and every exact zero or equality claim is confirmed
-within a relative tolerance; disagreement flags a pipeline bug, not a data
-error.
+precision, on plain Python floats kept apart from the exact vector code,
+and every exact zero or equality claim is confirmed within a relative
+tolerance; disagreement flags a pipeline bug, not a data error.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .polygon import NonGenericPolygonError, deltas
 from .scalars import Scalar
@@ -116,6 +114,12 @@ def derived_relation_defects(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
     return (first, second)
 
 
+# Relative tolerance of every comparison in the float re-run.
+FLOAT_TOLERANCE = 1e-9
+
+Floats = tuple[float, float, float]
+
+
 @dataclass(frozen=True)
 class FloatMismatch:
     field: str
@@ -141,23 +145,68 @@ def _as_float(obj: object) -> float:
     raise TypeError(f"cannot convert {obj!r} to float")
 
 
-def _float_rows(rows: Sequence[Sequence[object]]) -> np.ndarray:
-    return np.array([[_as_float(entry) for entry in row] for row in rows], dtype=float)
+def _float_rows(rows: Sequence[Sequence[object]]) -> list[Floats]:
+    return [tuple(_as_float(entry) for entry in row) for row in rows]
 
 
-def _float_deltas(edges: np.ndarray) -> np.ndarray:
+def _magnitude(values: Iterable[float]) -> float:
+    """The largest absolute value, at least 1."""
+    return max([1.0, *map(abs, values)])
+
+
+def _sub(a: Floats, b: Floats) -> Floats:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _scale(factor: float, a: Floats) -> Floats:
+    return (factor * a[0], factor * a[1], factor * a[2])
+
+
+def _dot(a: Floats, b: Floats) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: Floats, b: Floats) -> Floats:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _sum(vectors: Iterable[Floats]) -> Floats:
+    x = y = z = 0.0
+    for a, b, c in vectors:
+        x, y, z = x + a, y + b, z + c
+    return (x, y, z)
+
+
+def _area(points: Sequence[Floats]) -> Floats:
+    """Un-halved area vector: the sum of cross(p_i, p_(i+1)), cyclically."""
+    n = len(points)
+    return _sum(_cross(points[i], points[(i + 1) % n]) for i in range(n))
+
+
+def _det(a: Floats, b: Floats, c: Floats) -> tuple[float, float]:
+    """The determinant of rows a, b, c and the sum of its six terms' absolute values.
+
+    The rounding error of the determinant grows with that sum, which can be
+    far larger than the determinant when the terms cancel.
+    """
+    terms = abs(a[0]) * (abs(b[1] * c[2]) + abs(b[2] * c[1]))
+    terms += abs(a[1]) * (abs(b[2] * c[0]) + abs(b[0] * c[2]))
+    terms += abs(a[2]) * (abs(b[0] * c[1]) + abs(b[1] * c[0]))
+    return _dot(a, _cross(b, c)), terms
+
+
+def _corner_dets(edges: Sequence[Floats]) -> list[tuple[float, float]]:
     n = len(edges)
-    return np.array(
-        [
-            np.linalg.det(np.stack([edges[i], edges[(i + 1) % n], edges[(i + 2) % n]]))
-            for i in range(n)
-        ]
-    )
+    return [_det(edges[i], edges[(i + 1) % n], edges[(i + 2) % n]) for i in range(n)]
+
+
+def _edges(points: Sequence[Floats]) -> list[Floats]:
+    n = len(points)
+    return [_sub(points[(i + 1) % n], points[i]) for i in range(n)]
 
 
 class _Recorder:
-    def __init__(self, tolerance: float) -> None:
-        self.tolerance = tolerance
+    def __init__(self) -> None:
         self.checks = 0
         self.mismatches: list[FloatMismatch] = []
 
@@ -171,30 +220,41 @@ class _Recorder:
         return False
 
     def close(self, field: str, exact: float, approx: float, scale: float = 1.0) -> None:
-        bound = self.tolerance * max(1.0, scale, abs(exact), abs(approx))
+        bound = FLOAT_TOLERANCE * max(1.0, scale, abs(exact), abs(approx))
         if self._in_range(field, exact, approx, scale) and abs(exact - approx) > bound:
             self.mismatches.append(
                 FloatMismatch(field, f"exact {exact!r} vs float {approx!r}")
             )
 
     def small(self, field: str, value: float, scale: float) -> None:
-        if self._in_range(field, value, scale) and abs(value) > self.tolerance * max(1.0, scale):
+        bound = FLOAT_TOLERANCE * max(1.0, scale)
+        if self._in_range(field, value, scale) and abs(value) > bound:
             self.mismatches.append(
                 FloatMismatch(field, f"expected ~0, float path gives {value!r}")
             )
 
+    def corner_dets(
+        self, field: str, exact: Sequence[object], dets: Sequence[tuple[float, float]]
+    ) -> None:
+        """Compare each determinant at the larger of the largest one and its own terms."""
+        scale = _magnitude(value for value, _terms in dets)
+        exact_values = [_as_float(value) for value in exact]
+        for i, value in enumerate(exact_values):
+            approx, terms = dets[i]
+            self.close(f"{field}[{i + 1}]", value, approx, max(scale, terms))
+
 
 def _validate_polygon_block(
-    rec: _Recorder, prefix: str, block: dict, verts: np.ndarray
+    rec: _Recorder, prefix: str, block: dict, verts: Sequence[Floats]
 ) -> None:
     """Check the planarity / area / determinant claims of one analysis block."""
     n = len(verts)
-    coord_scale = max(1.0, float(np.max(np.abs(verts))))
-    edges = np.roll(verts, -1, axis=0) - verts
+    coord_scale = _magnitude(c for vertex in verts for c in vertex)
+    edges = _edges(verts)
 
     if block.get("vertices") is not None:
         exact = _float_rows(block["vertices"])
-        scale = max(coord_scale, float(np.max(np.abs(exact))))
+        scale = max(coord_scale, _magnitude(c for vertex in exact for c in vertex))
         for i in range(n):
             for axis in range(3):
                 rec.close(
@@ -206,61 +266,52 @@ def _validate_polygon_block(
 
     planarity = block.get("planarity")
     if planarity and planarity.get("planar") and n >= 4:
-        span_a = verts[1] - verts[0]
-        span_b = verts[2] - verts[0]
+        span_a = _sub(verts[1], verts[0])
+        span_b = _sub(verts[2], verts[0])
         for k in range(3, n):
-            residual = float(
-                np.linalg.det(np.stack([span_a, span_b, verts[k] - verts[0]]))
-            )
+            residual, _terms = _det(span_a, span_b, _sub(verts[k], verts[0]))
             rec.small(f"{prefix}.planarity[{k + 1}]", residual, coord_scale**3)
 
     if block.get("area_vector") is not None:
-        area = np.zeros(3)
-        for i in range(n):
-            area += np.cross(verts[i], verts[(i + 1) % n])
-        exact_area = np.array([_as_float(c) for c in block["area_vector"]])
+        area = _area(verts)
+        exact_area = [_as_float(c) for c in block["area_vector"]]
         for axis in range(3):
             rec.close(
-                f"{prefix}.area_vector[{axis}]",
-                exact_area[axis],
-                float(area[axis]),
-                coord_scale**2,
+                f"{prefix}.area_vector[{axis}]", exact_area[axis], area[axis], coord_scale**2
             )
 
     if block.get("derivability_defect") is not None:
-        defect = np.zeros(3)
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                defect += np.cross(edges[i], edges[j])
-        exact_defect = np.array([_as_float(c) for c in block["derivability_defect"]])
+        defect = _sum(
+            _cross(edges[i], edges[j]) for i in range(n - 1) for j in range(i + 1, n - 1)
+        )
+        exact_defect = [_as_float(c) for c in block["derivability_defect"]]
         for axis in range(3):
             rec.close(
                 f"{prefix}.derivability_defect[{axis}]",
                 exact_defect[axis],
-                float(defect[axis]),
+                defect[axis],
                 coord_scale**2,
             )
 
-    fderived = _float_deltas(edges)
-    delta_scale = max(1.0, float(np.max(np.abs(fderived))))
+    fderived = _corner_dets(edges)
     key = "derived_deltas" if "derived_deltas" in block else "deltas"
     if block.get(key) is not None:
-        exact_deltas = [_as_float(value) for value in block[key]]
-        for i, value in enumerate(exact_deltas):
-            rec.close(f"{prefix}.{key}[{i + 1}]", value, float(fderived[i]), delta_scale)
+        rec.corner_dets(f"{prefix}.{key}", block[key], fderived)
 
     if block.get("strongly_regular") and n == 6:
+        delta_scale = _magnitude(value for value, _terms in fderived)
         for i in range(3):
+            (first, first_terms), (opposite, opposite_terms) = fderived[i], fderived[i + 3]
             rec.small(
                 f"{prefix}.strongly_regular[{i + 1}]",
-                float(fderived[i] - fderived[i + 3]),
-                delta_scale,
+                first - opposite,
+                max(delta_scale, first_terms, opposite_terms),
             )
 
     two_plane = block.get("two_plane")
     if isinstance(two_plane, dict) and "error" not in two_plane and n == 6:
-        normal = np.cross(verts[2] - verts[0], verts[4] - verts[0])
-        offsets = [float(np.dot(verts[k] - verts[0], normal)) for k in (1, 3, 5)]
+        normal = _cross(_sub(verts[2], verts[0]), _sub(verts[4], verts[0]))
+        offsets = [_dot(_sub(verts[k], verts[0]), normal) for k in (1, 3, 5)]
         offset_scale = max(1.0, coord_scale**3)
         exact_offsets = [_as_float(value) for value in two_plane["even_offsets"]]
         for i in range(3):
@@ -277,40 +328,40 @@ def _validate_polygon_block(
             rec.small(
                 f"{prefix}.two_plane.offsets[2-3]", offsets[1] - offsets[2], offset_scale
             )
-        norm_sq = float(np.dot(normal, normal))
+        norm_sq = _dot(normal, normal)
         flat = [
             verts[0],
-            verts[1] - (offsets[0] / norm_sq) * normal,
+            _sub(verts[1], _scale(offsets[0] / norm_sq, normal)),
             verts[2],
-            verts[3] - (offsets[1] / norm_sq) * normal,
+            _sub(verts[3], _scale(offsets[1] / norm_sq, normal)),
             verts[4],
-            verts[5] - (offsets[2] / norm_sq) * normal,
+            _sub(verts[5], _scale(offsets[2] / norm_sq, normal)),
         ]
-        area = np.zeros(3)
-        for i in range(6):
-            area += np.cross(flat[i], flat[(i + 1) % 6])
+        area = _area(flat)
         exact_area = [_as_float(value) for value in two_plane["projected_area_vector"]]
         for axis in range(3):
             rec.close(
                 f"{prefix}.two_plane.projected_area_vector[{axis}]",
                 exact_area[axis],
-                float(area[axis]),
+                area[axis],
                 coord_scale**2,
             )
 
 
-@np.errstate(all="ignore")
-def float_cross_validate(report: dict, tolerance: float = 1e-9) -> FloatValidation:
+def float_cross_validate(report: dict) -> FloatValidation:
     """Re-run a report's pipeline in double precision and confirm its claims.
 
     Every exact zero or equality asserted by the report must reappear within
-    ``tolerance``, taken relative to the magnitude of the largest value
+    ``FLOAT_TOLERANCE``, taken relative to the magnitude of the largest value
     involved; coordinate growth through determinant products makes an
-    absolute tolerance meaningless. Returns diagnostics naming each
-    disagreeing field rather than raising; a value beyond double range,
-    exact or re-run, is an "out of float range" mismatch.
+    absolute tolerance meaningless. A corner determinant is compared
+    relative to the sum of its six terms' absolute values when that is
+    larger, since cancellation among the terms leaves the rounding error of
+    the terms. Returns diagnostics naming each disagreeing field rather than
+    raising; a value beyond double range, exact or re-run, is an "out of
+    float range" mismatch.
     """
-    rec = _Recorder(tolerance)
+    rec = _Recorder()
     try:
         _rerun(rec, report)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -321,19 +372,17 @@ def float_cross_validate(report: dict, tolerance: float = 1e-9) -> FloatValidati
 def _rerun(rec: _Recorder, report: dict) -> None:
     verts = _float_rows(report["input_summary"]["vertices"])
     n = len(verts)
-    edges = np.roll(verts, -1, axis=0) - verts
-    fdeltas = _float_deltas(edges)
-    delta_scale = max(1.0, float(np.max(np.abs(fdeltas))))
+    edges = _edges(verts)
+    fdeltas = _corner_dets(edges)
+    values = [value for value, _terms in fdeltas]
 
     if report.get("deltas") is not None:
-        exact_deltas = [_as_float(value) for value in report["deltas"]]
-        for i, value in enumerate(exact_deltas):
-            rec.close(f"deltas[{i + 1}]", value, float(fdeltas[i]), delta_scale)
+        rec.corner_dets("deltas", report["deltas"], fdeltas)
 
     verdict = report.get("verdict")
     if verdict is not None:
-        odd = float(np.prod(fdeltas[0::2]))
-        even = float(np.prod(fdeltas[1::2]))
+        odd = math.prod(values[0::2])
+        even = math.prod(values[1::2])
         product_scale = max(1.0, abs(odd), abs(even))
         rec.close("verdict.odd_product", _as_float(verdict["odd_product"]), odd, product_scale)
         rec.close("verdict.even_product", _as_float(verdict["even_product"]), even, product_scale)
@@ -347,34 +396,29 @@ def _rerun(rec: _Recorder, report: dict) -> None:
             )
 
     system = report.get("support_system")
-    system_verts: np.ndarray | None = None
+    system_verts: list[Floats] | None = None
     if system is not None:
         coefficients = [1.0]
         for k in range(n - 1):
-            coefficients.append(1.0 / (coefficients[k] * float(fdeltas[k])))
-        chain = np.array(
-            [
-                coefficients[k] * np.cross(edges[k], edges[(k + 1) % n])
-                for k in range(n)
-            ]
-        )
+            coefficients.append(1.0 / (coefficients[k] * values[k]))
         alpha = _as_float(system["alpha"])
-        factors = np.array(
-            [alpha if (k + 1) % 2 == 0 else 1.0 / alpha for k in range(n)]
-        )
-        system_verts = chain * factors[:, None]
+        system_verts = [
+            _scale(
+                alpha if k % 2 == 1 else 1.0 / alpha,
+                _scale(coefficients[k], _cross(edges[k], edges[(k + 1) % n])),
+            )
+            for k in range(n)
+        ]
         exact_vectors = _float_rows(system["vectors"])
-        scale = max(
-            1.0,
-            float(np.max(np.abs(system_verts))),
-            float(np.max(np.abs(exact_vectors))),
+        scale = _magnitude(
+            c for rows in (system_verts, exact_vectors) for row in rows for c in row
         )
         for i in range(n):
             for axis in range(3):
                 rec.close(
                     f"support_system.vectors[{i + 1}][{axis}]",
                     exact_vectors[i][axis],
-                    float(system_verts[i][axis]),
+                    system_verts[i][axis],
                     scale,
                 )
 

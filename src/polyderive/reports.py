@@ -285,15 +285,17 @@ def plot_lines(payload: dict) -> str:
     """Line-based plot data: float vertices, cyclic edges, plane tags.
 
     Accepts either a polygon payload or a full derive/analyze report; reports
-    plot the derived polygon when one is present.
+    plot the derived polygon when one is present. A payload of the wrong
+    shape, or a vertex beyond double range, raises PolygonFormatError.
     """
     if "derived_analysis" in payload:
         block = payload["derived_analysis"]
     elif "vertices" in payload:
         block = payload
-    elif "input_summary" in payload:
-        block = {"vertices": payload["input_summary"]["vertices"]}
     else:
+        summary = payload.get("input_summary")
+        block = {"vertices": summary.get("vertices")} if isinstance(summary, dict) else None
+    if not isinstance(block, dict) or not isinstance(block.get("vertices"), list):
         raise PolygonFormatError("nothing to plot: no vertices in payload")
 
     points = [vec3_from_json(row) for row in block["vertices"]]
@@ -301,9 +303,15 @@ def plot_lines(payload: dict) -> str:
     tagged = isinstance(two_plane, dict) and bool(two_plane.get("offsets_equal"))
     lines = [f"# polyderive plot data, {len(points)} vertices"]
     if "planarity" in block:
-        lines.append(f"# planar {'true' if block['planarity']['planar'] else 'false'}")
+        planarity = block["planarity"]
+        if not isinstance(planarity, dict) or not isinstance(planarity.get("planar"), bool):
+            raise PolygonFormatError("'planarity' must be an object with a boolean 'planar'")
+        lines.append(f"# planar {'true' if planarity['planar'] else 'false'}")
     for index, point in enumerate(points):
-        x, y, z = point.to_floats()
+        try:
+            x, y, z = point.to_floats()
+        except OverflowError as exc:
+            raise PolygonFormatError(f"vertex {index + 1} is beyond double range") from exc
         row = f"v {index + 1} {x:.17g} {y:.17g} {z:.17g}"
         if tagged:
             row += f" plane={1 + index % 2}"

@@ -31,6 +31,28 @@ HUGE_PENTAGON = {
 }
 
 
+TRIANGLE = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+# Runs each argument list through cli.main with numpy unimportable and prints
+# the exit code and oracle verdict of each.
+NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from polyderive import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, json.loads(out.getvalue())["oracle_results"]["ok"]])
+print(json.dumps(results))
+"""
+
+
+def child_env() -> dict:
+    paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -100,13 +122,11 @@ class TestCheck:
         path = tmp_path / "huge.json"
         vertices = [["1e999999999", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         path.write_text(json.dumps({"vertices": vertices}))
-        paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         result = subprocess.run(
             [sys.executable, "-m", "polyderive.cli", "check", str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=30,
         )
         assert result.returncode == 2
@@ -122,6 +142,27 @@ class TestCheck:
         oracle = report["oracle_results"]
         assert not oracle["ok"]
         assert any("out of float range" in m["detail"] for m in oracle["mismatches"])
+
+
+class TestWithoutNumpy:
+    def test_float_check_runs_with_numpy_unimportable(self):
+        runs = []
+        for path in sorted(FIXTURES_DIR.glob("*.json")):
+            even = len(json.loads(path.read_text())["vertices"]) % 2 == 0
+            runs.append(["check", str(path), "--float-check"])
+            scale = ["--alpha", "1"] if even else []
+            runs.append(["derive", str(path), "--float-check", *scale])
+            runs.append(["analyze", str(path), "--float-check"])
+        assert len(runs) == 15
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_CHILD, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[0, True]] * len(runs)
 
 
 class TestDerive:
@@ -329,11 +370,27 @@ class TestPlot:
 
     def test_triangle(self, capsys, tmp_path):
         path = tmp_path / "triangle.json"
-        path.write_text(
-            json.dumps({"vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]})
-        )
+        path.write_text(json.dumps({"vertices": TRIANGLE}))
         code, out, _err = run_cli(capsys, "plot", str(path))
         assert code == 0
         lines = out.strip().splitlines()
         assert sum(1 for line in lines if line.startswith("v ")) == 3
         assert sum(1 for line in lines if line.startswith("e ")) == 3
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"derived_analysis": {}},
+            {"input_summary": {}},
+            {"vertices": TRIANGLE, "planarity": {}},
+            {"vertices": [["1e400", "0", "0"]] + TRIANGLE[1:]},
+        ],
+        ids=["empty-derived-block", "empty-input-summary", "empty-planarity", "huge-vertex"],
+    )
+    def test_malformed_payload_is_a_usage_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "plot", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
