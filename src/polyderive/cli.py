@@ -8,6 +8,7 @@ codes: 0 success (or all suites passing), 1 analysis or property failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -75,7 +76,10 @@ def _summary(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _default_seed() -> int:
+def _seed(value: int | None) -> int:
+    """An explicit ``--seed``, else POLYDERIVE_SEED as set when the command runs, else 0."""
+    if value is not None:
+        return value
     try:
         return int(os.environ.get("POLYDERIVE_SEED", "0"))
     except ValueError:
@@ -148,7 +152,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from .reports import vec3_to_json
     from .scalars import format_scalar
 
-    cfg = GenConfig(seed=args.seed, coordinate_bound=args.bound)
+    cfg = GenConfig(seed=_seed(args.seed), coordinate_bound=args.bound)
     fixture: dict = {
         "kind": args.kind,
         "seed": cfg.seed,
@@ -178,7 +182,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [run_suite(name, args.samples, args.seed) for name in names]
+    seed = _seed(args.seed)
+    results = [run_suite(name, args.samples, seed) for name in names]
     passed = all(result.passed for result in results)
     _emit({"command": "verify", "passed": passed, "suites": [r.to_json() for r in results]})
     for result in results:
@@ -194,7 +199,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="polyderive",
         description=(
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("quad", "pentagon", "hexagon-lift", "alt-sign"),
     )
-    generate.add_argument("--seed", type=int, default=_default_seed())
+    generate.add_argument("--seed", type=int)
     generate.add_argument("--bound", type=int, default=9, help="coordinate bound")
     generate.add_argument("--out", help="write to a file instead of stdout")
     generate.set_defaults(func=_cmd_generate)
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", required=True, choices=tuple(SUITES) + ("all",)
     )
     verify.add_argument("--samples", type=_sample_count, default=100)
-    verify.add_argument("--seed", type=int, default=_default_seed())
+    verify.add_argument("--seed", type=int)
     verify.set_defaults(func=_cmd_verify)
 
     plot = sub.add_parser("plot", help="emit float plot data for a polygon or report")

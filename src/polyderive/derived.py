@@ -103,6 +103,11 @@ def hex_type(delta_values: Sequence[Scalar]) -> HexType:
     """Type of a strongly regular hexagon as a canonical ratio triple."""
     if not strongly_regular_check(delta_values):
         raise ValueError("hexagon determinants lack the half-turn symmetry")
+    return _hex_type(delta_values)
+
+
+def _hex_type(delta_values: Sequence[Scalar]) -> HexType:
+    """:func:`hex_type` for determinants the caller has checked to be half-turn symmetric."""
     base = tuple(delta_values[:3])
     candidates = []
     for r in range(3):
@@ -208,6 +213,11 @@ def planar_self_intersection(polygon: PolygonLike) -> bool:
         raise ValueError("the self-intersection test applies to quadrangles only")
     if not is_planar(polygon).planar:
         raise ValueError("the self-intersection test needs a planar quadrangle")
+    return _self_intersecting(points)
+
+
+def _self_intersecting(points: Sequence[Vec3]) -> bool:
+    """:func:`planar_self_intersection` for a quadrangle the caller has checked to be planar."""
     normal = cross(points[1] - points[0], points[2] - points[0])
     if normal.is_zero():
         normal = cross(points[1] - points[0], points[3] - points[0])

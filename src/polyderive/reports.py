@@ -12,10 +12,10 @@ from typing import Sequence
 
 from .derived import (
     DerivedPolygon,
+    _hex_type,
+    _self_intersecting,
     derive,
-    hex_type,
     is_planar,
-    planar_self_intersection,
     strongly_regular_check,
     two_plane_decomposition,
 )
@@ -176,7 +176,7 @@ def _hexagon_blocks(block: dict, values: Sequence[Scalar], polygon: DerivedPolyg
     symmetric = strongly_regular_check(values)
     block["strongly_regular"] = symmetric
     if symmetric:
-        block["hex_type"] = [format_scalar(part) for part in hex_type(values).ratio]
+        block["hex_type"] = [format_scalar(part) for part in _hex_type(values).ratio]
     block["two_plane"] = _two_plane_json(polygon)
 
 
@@ -198,7 +198,7 @@ def _analysis_block(derived: DerivedPolygon) -> dict:
     block["derived_generic"] = generic
     block["derived_deltas"] = [format_scalar(value) for value in values] if generic else None
     if derived.n == 4 and planarity.planar:
-        block["self_intersecting"] = planar_self_intersection(derived)
+        block["self_intersecting"] = _self_intersecting(derived.vertices)
     if derived.n == 6 and generic:
         _hexagon_blocks(block, values, derived)
     return block
@@ -248,7 +248,7 @@ def derive_report(
         input_symmetric = strongly_regular_check(values)
         block["input_strongly_regular"] = input_symmetric
         if input_symmetric:
-            input_type = [format_scalar(part) for part in hex_type(values).ratio]
+            input_type = [format_scalar(part) for part in _hex_type(values).ratio]
             block["input_hex_type"] = input_type
             block["type_matches_input"] = input_type == block["hex_type"]
     report["derived_analysis"] = block
@@ -275,7 +275,7 @@ def analyze_report(polygon: Polygon, source: str | None = None) -> dict:
     if polygon.n == 3:
         report["note"] = "triangles are trivially planar and never generic"
     if polygon.n == 4 and planarity.planar:
-        report["self_intersecting"] = planar_self_intersection(candidate)
+        report["self_intersecting"] = _self_intersecting(candidate.vertices)
     if polygon.n == 6 and generic:
         _hexagon_blocks(report, values, candidate)
     return report

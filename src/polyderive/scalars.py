@@ -119,14 +119,14 @@ class QuadExt:
         if isinstance(other, bool):
             return None
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self._d)
+            return _quad(Fraction(other), _ZERO, self._d)
         return None
 
     def __add__(self, other: object) -> QuadExt:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(self._a + rhs._a, self._b + rhs._b, self._d)
+        return _quad(self._a + rhs._a, self._b + rhs._b, self._d)
 
     __radd__ = __add__
 
@@ -134,29 +134,40 @@ class QuadExt:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(self._a - rhs._a, self._b - rhs._b, self._d)
+        return _quad(self._a - rhs._a, self._b - rhs._b, self._d)
 
     def __rsub__(self, other: object) -> QuadExt:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(rhs._a - self._a, rhs._b - self._b, self._d)
+        return _quad(rhs._a - self._a, rhs._b - self._b, self._d)
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self._a, -self._b, self._d)
+        return _quad(-self._a, -self._b, self._d)
 
     def __pos__(self) -> QuadExt:
         return self
 
     def __mul__(self, other: object) -> QuadExt:
+        """``(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + bed) + (ae + bc)*sqrt(d)``.
+
+        Products with a zero factor are skipped: two pure radicals (a = c = 0),
+        the common case for odd polygons, cost the single product ``bed``.
+        """
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return QuadExt(
-            self._a * rhs._a + self._b * rhs._b * self._d,
-            self._a * rhs._b + self._b * rhs._a,
-            self._d,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e = rhs._a, rhs._b
+        if not (a or c):
+            return _quad(b * e * d, _ZERO, d)
+        if not (b or e):
+            return _quad(a * c, _ZERO, d)
+        if not (a or e):
+            return _quad(_ZERO, b * c, d)
+        if not (b or c):
+            return _quad(_ZERO, a * e, d)
+        return _quad(a * c + b * e * d, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -186,7 +197,7 @@ class QuadExt:
                 f"conjugate norm vanished for {self!r}: the radicand {self._d} "
                 "is the square of a rational"
             )
-        return QuadExt(self._a / norm, -self._b / norm, self._d)
+        return _quad(self._a / norm, -self._b / norm, self._d)
 
     def sign(self) -> int:
         """Exact sign of the real number ``a + b*sqrt(d)``."""
@@ -250,6 +261,18 @@ class QuadExt:
             return tail
         joiner = "+" if self._b > 0 else ""
         return f"{self._a}{joiner}{tail}"
+
+
+_ZERO = Fraction(0)
+
+
+def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
+    """Build an arithmetic result from parts already validated by its operands."""
+    value = object.__new__(QuadExt)
+    value._a = a
+    value._b = b
+    value._d = d
+    return value
 
 
 def scalar_sign(value: Scalar | int) -> int:

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .derived import (
+    _hex_type,
+    _self_intersecting,
     derive,
-    hex_type,
     is_planar,
-    planar_self_intersection,
     second_derivative_type,
     strongly_regular_check,
     two_plane_decomposition,
@@ -148,7 +148,7 @@ def _suite_quadrangle_derivatives(samples: int, seed: int) -> SuiteResult:
         if not area_vector(derived.vertices).is_zero():
             return {**payload, "failed": "zero area vector"}
         try:
-            crossing = planar_self_intersection(derived)
+            crossing = _self_intersecting(derived.vertices)
         except ValueError as exc:
             if "degenerate" in str(exc):
                 raise _DegenerateDraw from exc  # collinear derived vertices
@@ -198,7 +198,7 @@ def _suite_hexagon_types(samples: int, seed: int) -> SuiteResult:
                 raise _DegenerateDraw from exc  # zero derived determinant
             if not symmetric:
                 return {**payload, "failed": f"strong regularity at alpha {alpha}"}
-            types.append(hex_type(values))
+            types.append(_hex_type(values))
         if any(t != types[0] for t in types[1:]):
             return {**payload, "failed": "type depends on the scale factor"}
         return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -63,8 +64,37 @@ def dot(a: Vec3, b: Vec3) -> Scalar:
     return a.x * b.x + a.y * b.y + a.z * b.z
 
 
+def _integer_coordinates(v: Vec3) -> tuple[int, int, int, int] | None:
+    """``(x, y, z, m)`` with ``v = (x, y, z) / m`` on ints, or None off the rationals.
+
+    ``m`` is the LCM of the component denominators. Cross and mixed products
+    are homogeneous, so they can run on the integers and divide once at the
+    end; ``Fraction(num, den)`` reduces to the same lowest terms as
+    componentwise Fraction arithmetic.
+    """
+    x, y, z = v.x, v.y, v.z
+    if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
+        return None
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    if dx == dy == dz:
+        return x.numerator, y.numerator, z.numerator, dx
+    m = math.lcm(dx, dy, dz)
+    return x.numerator * (m // dx), y.numerator * (m // dy), z.numerator * (m // dz), m
+
+
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product; orthogonal to both arguments."""
+    ia = _integer_coordinates(a)
+    ib = _integer_coordinates(b) if ia is not None else None
+    if ib is not None:
+        ax, ay, az, ma = ia
+        bx, by, bz, mb = ib
+        m = ma * mb
+        return Vec3(
+            Fraction(ay * bz - az * by, m),
+            Fraction(az * bx - ax * bz, m),
+            Fraction(ax * by - ay * bx, m),
+        )
     return Vec3(
         a.y * b.z - a.z * b.y,
         a.z * b.x - a.x * b.z,
@@ -75,9 +105,22 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
 def mixed(a: Vec3, b: Vec3, c: Vec3) -> Scalar:
     """Determinant with rows a, b, c, evaluated as dot(a, cross(b, c)).
 
-    One code path for the determinant keeps every caller on identical exact
-    arithmetic.
+    Rational rows take the integer cofactor expansion over the product of
+    their denominators; rows with extension components take the componentwise
+    path. Both are exact and give the same value, so the choice is invisible
+    to callers.
     """
+    ia = _integer_coordinates(a)
+    ib = _integer_coordinates(b) if ia is not None else None
+    ic = _integer_coordinates(c) if ib is not None else None
+    if ic is not None:
+        ax, ay, az, ma = ia
+        bx, by, bz, mb = ib
+        cx, cy, cz, mc = ic
+        return Fraction(
+            ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx),
+            ma * mb * mc,
+        )
     return dot(a, cross(b, c))
 
 

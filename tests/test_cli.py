@@ -293,6 +293,16 @@ class TestGenerate:
         assert code == 0
         assert fixture["seed"] == 21
 
+    def test_seed_env_is_read_when_the_command_runs(self, capsys, monkeypatch):
+        # The parser is built once per process; the default seed must not be.
+        monkeypatch.setenv("POLYDERIVE_SEED", "21")
+        _code, first = run_json(capsys, "generate", "--kind", "quad")
+        monkeypatch.setenv("POLYDERIVE_SEED", "22")
+        _code, second = run_json(capsys, "generate", "--kind", "quad")
+        assert (first["seed"], second["seed"]) == (21, 22)
+        assert first["vertices"] != second["vertices"]
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

@@ -14,6 +14,7 @@ from polyderive import (
     GenConfig,
     HexType,
     NonGenericPolygonError,
+    Polygon,
     SupportSystem,
     Vec3,
     area_vector,
@@ -274,3 +275,49 @@ class TestFlatSupportAreaCancellation:
             total = area_vector(points)
             assert total.x == 0
             assert total.y == 0
+
+
+class TestReportsRunEachCheckOnce:
+    """The report builders test symmetry and planarity once per polygon."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name: str) -> list:
+        import polyderive.derived
+        import polyderive.reports
+
+        calls = []
+        original = getattr(polyderive.derived, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (polyderive.derived, polyderive.reports):
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_symmetry_check_per_hexagon(self, monkeypatch):
+        from polyderive.reports import derive_report
+
+        calls = self._count_calls(monkeypatch, "strongly_regular_check")
+        report = derive_report(golden.fixture_polygon("hexagon_regular.json"), alpha=Fraction(1))
+        assert report["derived_analysis"]["hex_type"]
+        assert len(calls) == 2  # the derived hexagon, then the input
+
+    def test_one_planarity_check_per_quadrangle(self, monkeypatch):
+        from polyderive.reports import analyze_report, derive_report
+
+        calls = self._count_calls(monkeypatch, "is_planar")
+        report = derive_report(golden.fixture_polygon("quadrangle.json"), alpha=Fraction(1))
+        assert report["derived_analysis"]["self_intersecting"]
+        assert len(calls) == 1
+        square = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
+        assert analyze_report(square)["self_intersecting"] is False
+        assert len(calls) == 2
+
+    def test_public_guards_still_raise(self):
+        with pytest.raises(ValueError, match="half-turn"):
+            hex_type(golden.REGULAR_HEXAGON_DELTAS)
+        skew = DerivedPolygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 3)))
+        with pytest.raises(ValueError, match="planar"):
+            planar_self_intersection(skew)

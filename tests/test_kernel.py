@@ -1,0 +1,162 @@
+"""Differential tests of the exact kernel against reference arithmetic kept here.
+
+``cross`` and ``mixed`` run rational vectors on common-denominator integers and
+extension vectors componentwise; ``QuadExt.__mul__`` skips products with a zero
+factor. Each result must equal, value for value and in its JSON form, what the
+plain formulas give: Fraction arithmetic for rational vectors and ``(a, b)``
+pair arithmetic for ``a + b*sqrt(d)``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyderive import Polygon, QuadExt, Vec3, cross, deltas, edge_vectors, mirror, mixed
+from polyderive.scalars import format_scalar
+
+# Zero, small, coprime and very large denominators, both signs.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-60, max_value=60),
+        st.sampled_from([1, 2, 3, 7, 11, 13, 2**61 - 1, 10**20 + 39]),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
+rational_vectors = st.builds(Vec3, rationals, rationals, rationals)
+
+RADICAND = Fraction(7, 3)
+# Pure radicals b*sqrt(d), general a + b*sqrt(d), and rational values with b = 0.
+extension_values = st.one_of(
+    st.builds(lambda b: QuadExt(0, b, RADICAND), rationals),
+    st.builds(lambda a, b: QuadExt(a, b, RADICAND), rationals, rationals),
+    st.builds(lambda a: QuadExt(a, 0, RADICAND), rationals),
+)
+extension_vectors = st.builds(Vec3, extension_values, extension_values, extension_values)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def ref_cross(a, b):
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+def ref_mixed(a, b, c):
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    c1, c2, c3 = c
+    return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+
+
+class Pair:
+    """Reference ``a + b*sqrt(RADICAND)`` with the textbook product."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @classmethod
+    def of(cls, value):
+        return cls(value.a, value.b) if isinstance(value, QuadExt) else cls(value, 0)
+
+    def __add__(self, other):
+        return Pair(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return Pair(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        return Pair(
+            self.a * other.a + self.b * other.b * RADICAND,
+            self.a * other.b + self.b * other.a,
+        )
+
+    def __eq__(self, other):
+        return (self.a, self.b) == (other.a, other.b)
+
+
+def pairs(vector):
+    return tuple(Pair.of(component) for component in vector)
+
+
+class TestRationalKernel:
+    @SETTINGS
+    @given(rational_vectors, rational_vectors)
+    def test_cross_matches_fraction_reference(self, a, b):
+        result = cross(a, b)
+        assert tuple(result) == ref_cross(tuple(a), tuple(b))
+        assert all(type(component) is Fraction for component in result)
+
+    @SETTINGS
+    @given(rational_vectors, rational_vectors, rational_vectors)
+    def test_mixed_matches_fraction_reference(self, a, b, c):
+        result = mixed(a, b, c)
+        assert type(result) is Fraction
+        assert result == ref_mixed(tuple(a), tuple(b), tuple(c))
+        assert format_scalar(result) == format_scalar(ref_mixed(tuple(a), tuple(b), tuple(c)))
+
+    def test_common_denominators_cancel_to_lowest_terms(self):
+        a = Vec3(Fraction(1, 6), Fraction(1, 10), Fraction(1, 15))
+        b = Vec3(Fraction(5, 6), Fraction(-3, 10), Fraction(2, 15))
+        assert cross(a, b) == Vec3(Fraction(1, 30), Fraction(1, 30), Fraction(-2, 15))
+        assert str(mixed(a, b, Vec3.of(30, 0, 0))) == "1"
+
+
+class TestExtensionKernel:
+    @SETTINGS
+    @given(extension_vectors, extension_vectors)
+    def test_cross_matches_pair_reference(self, a, b):
+        assert pairs(cross(a, b)) == ref_cross(pairs(a), pairs(b))
+
+    @SETTINGS
+    @given(extension_vectors, extension_vectors, extension_vectors)
+    def test_mixed_matches_pair_reference(self, a, b, c):
+        assert Pair.of(mixed(a, b, c)) == ref_mixed(pairs(a), pairs(b), pairs(c))
+
+    @SETTINGS
+    @given(rational_vectors, extension_vectors, rational_vectors)
+    def test_rational_and_extension_rows_mix(self, a, b, c):
+        assert Pair.of(mixed(a, b, c)) == ref_mixed(pairs(a), pairs(b), pairs(c))
+        assert pairs(cross(a, b)) == ref_cross(pairs(a), pairs(b))
+
+    @SETTINGS
+    @given(extension_values, extension_values)
+    def test_product_with_zero_parts_matches_general_formula(self, x, y):
+        general = QuadExt(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+        for product in (x * y, y * x):
+            assert product == general
+            assert format_scalar(product) == format_scalar(general)
+        assert format_scalar(x * y.a) == format_scalar(QuadExt(x.a * y.a, x.b * y.a, x.d))
+
+
+# Small generic-looking polygons: 4 to 7 vertices with bounded rational coordinates.
+polygons = st.lists(
+    st.builds(Vec3, *[st.fractions(min_value=-9, max_value=9, max_denominator=9)] * 3),
+    min_size=4,
+    max_size=7,
+).map(lambda points: Polygon(tuple(points)))
+
+
+class TestDeterminantProperties:
+    @SETTINGS
+    @given(polygons, rationals.filter(bool))
+    def test_deltas_scale_by_the_cube(self, polygon, scale):
+        scaled = Polygon(tuple(vertex * scale for vertex in polygon.vertices))
+        expected = tuple(value * scale**3 for value in deltas(edge_vectors(polygon)))
+        assert deltas(edge_vectors(scaled)) == expected
+
+    @SETTINGS
+    @given(polygons)
+    def test_mirror_flips_every_sign(self, polygon):
+        flipped = deltas(edge_vectors(mirror(polygon)))
+        assert flipped == tuple(-value for value in deltas(edge_vectors(polygon)))
