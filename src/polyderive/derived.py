@@ -11,39 +11,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .polygon import NonGenericPolygonError, Polygon, deltas, edge_vectors
 from .regularity import SupportSystem, build_support_system
-from .scalars import Scalar, scalar_sign
-from .vectors import Vec3, area_vector, cross, dot, mixed
+from .scalars import Scalar, power_scaler, scalar_sign
+from .vectors import Vec3, area_vector, cross, dot, mixed, scaled
 
 PolygonLike = Union["DerivedPolygon", Polygon]
 
 
+class CollinearAnchorError(ValueError):
+    """Vertices 1, 3, 5 of a hexagon are collinear, so no anchor plane exists."""
+
+
+class DegenerateQuadrangleError(ValueError):
+    """All four vertices of a quadrangle are collinear, so it spans no plane."""
+
+
 @dataclass(frozen=True)
 class DerivedPolygon:
-    """Polygon whose vertices are support vectors read as points from one origin."""
+    """Polygon whose vertices are support vectors read as points from one origin.
 
-    vertices: tuple[Vec3, ...]
+    The vertices are ``scale * unscaled[k]``. A derivative keeps its support
+    system's split: rational ``unscaled`` points and the scale alpha for odd
+    n, scale one for even n. Planarity witnesses, zero patterns and ratios of
+    determinants do not change under a nonzero scale, so the exact tests run
+    on ``unscaled``.
+    """
+
+    unscaled: tuple[Vec3, ...]
+    scale: Scalar = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(self.vertices) < 3:
+        object.__setattr__(self, "unscaled", tuple(self.unscaled))
+        if len(self.unscaled) < 3:
             raise ValueError("a derived polygon needs at least three vertices")
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.unscaled)
+
+    @cached_property
+    def vertices(self) -> tuple[Vec3, ...]:
+        return scaled(self.unscaled, self.scale)
 
     @property
     def edges(self) -> tuple[Vec3, ...]:
         return edge_vectors(self)
 
+    @property
+    def unscaled_edges(self) -> tuple[Vec3, ...]:
+        """Edges of the unscaled points; the edges are ``scale`` times these."""
+        return edge_vectors(Polygon(self.unscaled))
+
 
 def derive(system: SupportSystem) -> DerivedPolygon:
     """Read the support vectors as vertices of the derived polygon."""
-    return DerivedPolygon(tuple(system.vectors))
+    return DerivedPolygon(system.unscaled, system.scale)
 
 
 @dataclass(frozen=True)
@@ -57,10 +83,12 @@ class PlanarityReport:
 def is_planar(polygon: PolygonLike) -> PlanarityReport:
     """Exact coplanarity of the vertices against the plane of the first three.
 
-    Triangles are trivially planar. The check stays in the exact field even
-    when the vertices carry extension-field coordinates.
+    Triangles are trivially planar. A derived polygon is tested on its
+    unscaled points, which are coplanar exactly when the vertices are; the
+    check stays in the exact field even when the vertices carry
+    extension-field coordinates.
     """
-    points = polygon.vertices
+    points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) < 4:
         return PlanarityReport(True)
     span_a = points[1] - points[0]
@@ -72,8 +100,12 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
 
 
 def derived_deltas(polygon: DerivedPolygon) -> tuple[Scalar, ...]:
-    """Corner determinants of the derived polygon's edge list."""
-    return deltas(polygon.edges)
+    """Corner determinants of the derived polygon's edge list.
+
+    They are ``scale**3`` times those of the unscaled edges.
+    """
+    times = power_scaler(polygon.scale, 3)
+    return tuple(times(value) for value in deltas(polygon.unscaled_edges))
 
 
 def strongly_regular_check(delta_values: Sequence[Scalar]) -> bool:
@@ -151,7 +183,7 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
     anchor = points[0]
     normal = cross(points[2] - anchor, points[4] - anchor)
     if normal.is_zero():
-        raise ValueError("vertices 1, 3, 5 are collinear; no anchor plane exists")
+        raise CollinearAnchorError("vertices 1, 3, 5 are collinear; no anchor plane exists")
     norm_sq = dot(normal, normal)
 
     def offset(point: Vec3) -> Scalar:
@@ -222,7 +254,7 @@ def _self_intersecting(points: Sequence[Vec3]) -> bool:
     if normal.is_zero():
         normal = cross(points[1] - points[0], points[3] - points[0])
     if normal.is_zero():
-        raise ValueError("degenerate quadrangle: all vertices are collinear")
+        raise DegenerateQuadrangleError("degenerate quadrangle: all vertices are collinear")
 
     def orient(p: Vec3, q: Vec3, r: Vec3) -> int:
         return scalar_sign(mixed(normal, q - p, r - p))

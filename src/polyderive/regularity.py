@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polygon import NonGenericPolygonError, deltas, ensure_generic
-from .scalars import QuadExt, Scalar, scalar_sign
-from .vectors import Vec3, cross, mixed
+from .scalars import QuadExt, Scalar, rational_square, scalar_sign
+from .vectors import Vec3, cross, mixed, scaled
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,32 @@ def closure_defect(basis: SupportBasis, edges: Sequence[Vec3]) -> Vec3:
 
 @dataclass(frozen=True)
 class SupportSystem:
-    """Scaled support vectors satisfying all n cyclic cross-product conditions."""
+    """Support vectors ``scale * unscaled[k]`` satisfying all n cyclic conditions.
 
-    vectors: tuple[Vec3, ...]
+    For odd n the scale is alpha itself, a square root of the rational
+    alpha_squared r, and ``unscaled`` is rational: the chain vector b_k at
+    even positions and b_k / r at odd ones (1-based), since 1/alpha = alpha/r.
+    For even n alpha is rational and already folded into ``unscaled``, so the
+    scale is one. Exact checks run on ``unscaled``; the scale enters only
+    where a value is written out.
+    """
+
+    unscaled: tuple[Vec3, ...]
     alpha: Scalar
     parity: str
 
     @property
+    def scale(self) -> Scalar:
+        return self.alpha if self.parity == "odd" else _ONE
+
+    @cached_property
+    def vectors(self) -> tuple[Vec3, ...]:
+        """The support vectors themselves, ``scale * unscaled``."""
+        return scaled(self.unscaled, self.scale)
+
+    @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self.unscaled)
 
 
 def canonical_alpha(verdict: RegularityVerdict, negative_root: bool = False) -> QuadExt:
@@ -179,24 +199,23 @@ def support_system(
     its inverse (positions 1-based). For even n any nonzero rational alpha
     works; for odd n alpha must square exactly to the verdict's
     alpha_squared, so it is usually an extension-field root and rational only
-    when alpha_squared happens to be a perfect square.
+    when alpha_squared happens to be a perfect square. Odd systems keep alpha
+    as their scale and divide the odd positions by alpha_squared instead.
     """
     if not verdict.regular:
         raise IrregularPolygonError(verdict)
+    if isinstance(alpha, int):
+        alpha = Fraction(alpha)
     if verdict.parity == "even":
-        if isinstance(alpha, int):
-            alpha = Fraction(alpha)
         if not isinstance(alpha, Fraction):
             raise ValueError("even polygons take a nonzero rational scale factor")
         if alpha == 0:
             raise ValueError("scale factor must be nonzero")
-        inverse = 1 / alpha
+        even, odd = alpha, 1 / alpha
     else:
         # A rational alpha is legitimate exactly when alpha_squared is a
         # perfect square; the square test below decides that without any
         # square-root detection.
-        if isinstance(alpha, int):
-            alpha = Fraction(alpha)
         if not isinstance(alpha, (Fraction, QuadExt)):
             raise ValueError(
                 "odd polygons need a scale factor squaring to alpha_squared; "
@@ -204,17 +223,16 @@ def support_system(
             )
         if not alpha:
             raise ValueError("scale factor must be nonzero")
-        if alpha * alpha != verdict.alpha_squared:
+        if rational_square(alpha) != verdict.alpha_squared:
             raise ValueError(
                 f"scale factor squared is {alpha * alpha}, "
                 f"expected {verdict.alpha_squared}"
             )
-        inverse = alpha.inverse() if isinstance(alpha, QuadExt) else 1 / alpha
-    scaled = tuple(
-        vector * (alpha if (k + 1) % 2 == 0 else inverse)
-        for k, vector in enumerate(basis.vectors)
+        even, odd = _ONE, 1 / verdict.alpha_squared
+    unscaled = tuple(
+        vector * (even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
     )
-    return SupportSystem(scaled, alpha, verdict.parity)
+    return SupportSystem(unscaled, alpha, verdict.parity)
 
 
 @dataclass(frozen=True)
@@ -230,16 +248,24 @@ def verify_support(
 ) -> SupportCheck:
     """Exact check of cross(u_i, u_{i+1}) = v_{i+1} for every i, wrap included.
 
-    For odd-n systems the paired scale factors cancel, so each cross product
-    collapses to a rational value and compares exactly against the edge.
+    A support system is checked on its unscaled vectors: with u = scale * q,
+    the condition reads scale**2 * cross(q_i, q_{i+1}) = v_{i+1}, and
+    scale**2 is rational (alpha_squared for odd n, one for even n), so the
+    check stays over the rationals.
     """
-    vectors = system.vectors if isinstance(system, SupportSystem) else tuple(system)
+    if isinstance(system, SupportSystem):
+        vectors, square = system.unscaled, rational_square(system.scale)
+    else:
+        vectors, square = tuple(system), _ONE
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")
     count = len(chain)
     for i in range(count):
-        if cross(vectors[i], vectors[(i + 1) % count]) != chain[(i + 1) % count]:
+        product = cross(vectors[i], vectors[(i + 1) % count])
+        if square != 1:
+            product = product * square
+        if product != chain[(i + 1) % count]:
             return SupportCheck(False, i + 1)
     return SupportCheck(True)
 

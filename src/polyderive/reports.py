@@ -37,8 +37,8 @@ from .regularity import (
     support_system,
     verify_support,
 )
-from .scalars import Scalar, format_scalar, parse_scalar
-from .vectors import Vec3, area_vector
+from .scalars import Scalar, format_scalar, parse_scalar, power_scaler
+from .vectors import Vec3, area_vector, scaled
 
 
 class PolygonFormatError(ValueError):
@@ -181,14 +181,23 @@ def _hexagon_blocks(block: dict, values: Sequence[Scalar], polygon: DerivedPolyg
 
 
 def _analysis_block(derived: DerivedPolygon) -> dict:
+    """Analysis of ``scale * unscaled``, run on the unscaled points.
+
+    Vertices and edges are written with the factor ``scale``, the area
+    vector with ``scale**2`` and the determinants with ``scale**3``; zero
+    patterns, planarity and the hexagon and quadrangle tests do not change
+    under a nonzero scale.
+    """
+    points = derived.unscaled
+    edges = derived.unscaled_edges
+    scale = derived.scale
     planarity = is_planar(derived)
-    edges = derived.edges
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
-    area = vec3_to_json(area_vector(derived.vertices))
+    area = vec3_to_json(scaled([area_vector(points)], scale, 2)[0])
     block: dict = {
         "vertices": [vec3_to_json(vertex) for vertex in derived.vertices],
-        "edges": [vec3_to_json(edge) for edge in edges],
+        "edges": [vec3_to_json(edge) for edge in scaled(edges, scale)],
         "planarity": {"planar": planarity.planar, "witness": planarity.witness},
         "area_vector": area,
         "derivability_defect": list(area),
@@ -196,9 +205,13 @@ def _analysis_block(derived: DerivedPolygon) -> dict:
     values = deltas(edges)
     generic = all(values)
     block["derived_generic"] = generic
-    block["derived_deltas"] = [format_scalar(value) for value in values] if generic else None
+    if generic:
+        cube = power_scaler(scale, 3)
+        block["derived_deltas"] = [format_scalar(cube(value)) for value in values]
+    else:
+        block["derived_deltas"] = None
     if derived.n == 4 and planarity.planar:
-        block["self_intersecting"] = _self_intersecting(derived.vertices)
+        block["self_intersecting"] = _self_intersecting(points)
     if derived.n == 6 and generic:
         _hexagon_blocks(block, values, derived)
     return block

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 
@@ -273,6 +273,48 @@ def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
     value._b = b
     value._d = d
     return value
+
+
+def rational_square(value: Scalar) -> Fraction | None:
+    """``value**2`` read off the parts when it is rational, else None.
+
+    A rational squares to a rational, and so does ``a + b*sqrt(d)`` exactly
+    when ``a = 0`` or ``b = 0``; with both nonzero the square keeps the term
+    ``2ab*sqrt(d)``.
+    """
+    if not isinstance(value, QuadExt):
+        return value * value
+    if not value._b:
+        return value._a * value._a
+    if not value._a:
+        return value._b * value._b * value._d
+    return None
+
+
+def power_scaler(scale: Scalar, power: int) -> Callable[[Fraction], Scalar]:
+    """The map ``x -> scale**power * x`` on rationals, built from parts.
+
+    ``scale`` is a rational or a :class:`QuadExt` with a zero part, so its
+    square is rational and each power is a rational multiple of one or of
+    ``sqrt(d)``. The results equal the products :class:`QuadExt` arithmetic
+    gives, value for value and in :func:`format_scalar` form, without any
+    extension multiplication.
+    """
+    if not isinstance(scale, QuadExt):
+        factor = scale**power
+        return (lambda x: x) if factor == 1 else (lambda x: factor * x)
+    d = scale._d
+    if scale._a and scale._b:
+        raise ValueError(f"scale {scale} has no rational square")
+    if not scale._b:
+        factor = scale._a**power
+        return lambda x: _quad(factor * x, _ZERO, d)
+    half, odd = divmod(power, 2)
+    factor = (scale._b * scale._b * d) ** half
+    if odd:
+        factor *= scale._b
+        return lambda x: _quad(_ZERO, factor * x, d)
+    return lambda x: _quad(factor * x, _ZERO, d)
 
 
 def scalar_sign(value: Scalar | int) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .scalars import QuadExt, Scalar, parse_rational
+from .scalars import QuadExt, Scalar, parse_rational, power_scaler
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,14 @@ def _component(value: object) -> Scalar:
 
 
 ZERO_VEC = Vec3(Fraction(0), Fraction(0), Fraction(0))
+
+
+def scaled(vectors: Sequence[Vec3], scale: Scalar, power: int = 1) -> tuple[Vec3, ...]:
+    """Each rational vector times ``scale**power``; see :func:`scalars.power_scaler`."""
+    if isinstance(scale, Fraction) and scale**power == 1:
+        return tuple(vectors)
+    times = power_scaler(scale, power)
+    return tuple(Vec3(times(v.x), times(v.y), times(v.z)) for v in vectors)
 
 
 def dot(a: Vec3, b: Vec3) -> Scalar:

@@ -5,17 +5,42 @@ extension vectors componentwise; ``QuadExt.__mul__`` skips products with a zero
 factor. Each result must equal, value for value and in its JSON form, what the
 plain formulas give: Fraction arithmetic for rational vectors and ``(a, b)``
 pair arithmetic for ``a + b*sqrt(d)``.
+
+Odd-n support systems and their derivatives are held as one scale times
+rational vectors and written out through powers of the scale built from
+parts. They must equal the componentwise ``QuadExt`` scaling kept here as the
+reference: ``b_k * alpha`` and ``b_k * alpha**-1``, with the derived edges,
+area vector and determinants computed on those extension vectors.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyderive import Polygon, QuadExt, Vec3, cross, deltas, edge_vectors, mirror, mixed
-from polyderive.scalars import format_scalar
+from polyderive import (
+    Polygon,
+    QuadExt,
+    Vec3,
+    area_vector,
+    canonical_alpha,
+    check_regularity,
+    cross,
+    deltas,
+    derive,
+    derived_deltas,
+    edge_vectors,
+    mirror,
+    mixed,
+    support_basis,
+    support_system,
+    verify_support,
+)
+from polyderive.reports import derive_report, vec3_to_json
+from polyderive.scalars import format_scalar, power_scaler
 
 # Zero, small, coprime and very large denominators, both signs.
 rationals = st.one_of(
@@ -160,3 +185,101 @@ class TestDeterminantProperties:
     def test_mirror_flips_every_sign(self, polygon):
         flipped = deltas(edge_vectors(mirror(polygon)))
         assert flipped == tuple(-value for value in deltas(edge_vectors(polygon)))
+
+
+def regular_odd_polygon(rng: random.Random, n: int) -> Polygon:
+    """Generic odd n-gon, mirrored in z when its determinant product is negative.
+
+    Mirroring flips every corner determinant, hence the sign of their product
+    over an odd count, so one of the two is regular.
+    """
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    while True:
+        polygon = Polygon(tuple(Vec3(part(), part(), part()) for _ in range(n)))
+        values = deltas(edge_vectors(polygon))
+        if all(values):
+            break
+    product = Fraction(1)
+    for value in values:
+        product *= value
+    return mirror(polygon) if product < 0 else polygon
+
+
+def reference_support(edges, negative_root):
+    """Componentwise QuadExt scaling: b_k * alpha at even positions, b_k / alpha at odd ones."""
+    verdict = check_regularity(deltas(edges))
+    alpha = canonical_alpha(verdict, negative_root)
+    inverse = alpha.inverse()
+    basis = support_basis(edges)
+    vectors = tuple(
+        vector * (alpha if k % 2 else inverse) for k, vector in enumerate(basis.vectors)
+    )
+    return basis, verdict, alpha, vectors
+
+
+def as_json(vectors):
+    return [vec3_to_json(vector) for vector in vectors]
+
+
+odd_polygons = st.builds(
+    regular_odd_polygon,
+    st.integers(min_value=0, max_value=2**32).map(random.Random),
+    st.sampled_from([5, 7]),
+)
+ODD_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+class TestScaledOddSystems:
+    @ODD_SETTINGS
+    @given(odd_polygons, st.booleans())
+    def test_system_equals_componentwise_scaling(self, polygon, negative_root):
+        edges = edge_vectors(polygon)
+        basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        system = support_system(basis, verdict, alpha)
+        assert verify_support(system, edges).ok
+        assert verify_support(expected, edges).ok
+        assert system.vectors == expected
+        assert as_json(system.vectors) == as_json(expected)
+
+    @ODD_SETTINGS
+    @given(odd_polygons, st.booleans())
+    def test_derived_polygon_equals_componentwise_reference(self, polygon, negative_root):
+        edges = edge_vectors(polygon)
+        basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        derived = derive(support_system(basis, verdict, alpha))
+        expected_edges = edge_vectors(Polygon(expected))
+        expected_area = area_vector(expected)
+        expected_deltas = deltas(expected_edges)
+        assert derived.vertices == expected
+        assert derived.edges == expected_edges
+        assert derived_deltas(derived) == expected_deltas
+
+        block = derive_report(polygon, negative_root=negative_root)["derived_analysis"]
+        assert block["vertices"] == as_json(expected)
+        assert block["edges"] == as_json(expected_edges)
+        assert block["area_vector"] == vec3_to_json(expected_area)
+        assert block["derivability_defect"] == vec3_to_json(expected_area)
+        assert block["derived_generic"] == all(expected_deltas)
+        if block["derived_generic"]:
+            assert block["derived_deltas"] == [format_scalar(v) for v in expected_deltas]
+
+    @SETTINGS
+    @given(
+        st.one_of(
+            rationals.filter(bool),
+            st.builds(lambda b: QuadExt(0, b, RADICAND), rationals.filter(bool)),
+            st.builds(lambda a: QuadExt(a, 0, RADICAND), rationals.filter(bool)),
+        ),
+        st.integers(min_value=1, max_value=4),
+        rationals,
+    )
+    def test_power_scaler_matches_repeated_products(self, scale, power, x):
+        expected = x
+        for _ in range(power):
+            expected = scale * expected
+        value = power_scaler(scale, power)(x)
+        assert value == expected
+        assert format_scalar(value) == format_scalar(expected)

@@ -35,6 +35,7 @@ from polyderive import (
     support_system,
     verify_support,
 )
+from polyderive.scalars import format_scalar
 
 coords = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 vectors = st.builds(lambda x, y, z: Vec3.of(x, y, z), coords, coords, coords)
@@ -183,6 +184,33 @@ class TestSupportSystem:
             support_system(basis, verdict, QuadExt.sqrt(2))
         with pytest.raises(ValueError, match="squared"):
             support_system(basis, verdict, Fraction(2))
+
+    def test_odd_alpha_error_names_its_square(self):
+        edges = golden.PENTAGON_EDGES
+        basis = support_basis(edges)
+        verdict = check_regularity(deltas(edges))
+        with pytest.raises(ValueError, match=r"squared is 3\+2\*sqrt\(2\), expected 8/5"):
+            support_system(basis, verdict, QuadExt(1, 1, 2))
+
+    def test_odd_rational_alpha_when_alpha_squared_is_a_square(self):
+        # Stretching x by 5/2 multiplies every determinant by 5/2, and so the
+        # pentagon's alpha_squared 8/5 (three odd factors over two even) by 5/2.
+        edges = tuple(Vec3(e.x * Fraction(5, 2), e.y, e.z) for e in golden.PENTAGON_EDGES)
+        verdict = check_regularity(deltas(edges))
+        assert verdict.alpha_squared == 4
+        basis = support_basis(edges)
+        for alpha in (2, Fraction(-2), QuadExt(2, 0, 3), QuadExt(0, 1, 4), QuadExt(0, 4, Fraction(1, 4))):
+            system = support_system(basis, verdict, alpha)
+            assert verify_support(system, edges).ok
+            root = Fraction(alpha) if isinstance(alpha, int) else alpha
+            inverse = root.inverse() if isinstance(root, QuadExt) else 1 / root
+            expected = tuple(
+                vector * (root if k % 2 else inverse) for k, vector in enumerate(basis.vectors)
+            )
+            assert system.vectors == expected
+            assert [list(map(format_scalar, v)) for v in system.vectors] == [
+                list(map(format_scalar, v)) for v in expected
+            ]
 
     def test_irregular_polygon_is_rejected(self):
         verdict = check_regularity((1, -2, 3, -4, 5, -6))

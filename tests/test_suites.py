@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from golden import vecs
+from polyderive import suites
+from polyderive.derived import DerivedPolygon, _self_intersecting, two_plane_decomposition
 from polyderive.suites import (
     SUITES,
     SuiteResult,
@@ -11,6 +14,24 @@ from polyderive.suites import (
     _run,
     run_suite,
 )
+
+COLLINEAR_QUADRANGLE = vecs((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3))
+COLLINEAR_ANCHOR_HEXAGON = DerivedPolygon(
+    vecs((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0), (2, 2, 2), (0, 0, 1))
+)
+
+
+def degenerate_first(monkeypatch, name, degenerate_call):
+    """Make the suite's first call of ``name`` hit its real degenerate case."""
+    real = getattr(suites, name)
+    calls = []
+
+    def patched(argument):
+        calls.append(argument)
+        return degenerate_call(real) if len(calls) == 1 else real(argument)
+
+    monkeypatch.setattr(suites, name, patched)
+    return calls
 
 
 class TestRunner:
@@ -101,3 +122,40 @@ class TestRedrawMechanics:
         result = _run("fake", 1, seed=0, salt=0, check_one=check_one)
         assert result.passed
         assert result.redraws == 1
+
+
+class TestTypedRedraws:
+    def test_collinear_derived_quadrangle_is_redrawn(self, monkeypatch):
+        calls = degenerate_first(
+            monkeypatch, "_self_intersecting", lambda real: real(COLLINEAR_QUADRANGLE)
+        )
+        result = run_suite("thm31", 2, seed=3)
+        assert result.passed and result.redraws == 1
+        assert len(calls) == 3
+
+    def test_collinear_anchor_is_redrawn(self, monkeypatch):
+        calls = degenerate_first(
+            monkeypatch,
+            "two_plane_decomposition",
+            lambda real: real(COLLINEAR_ANCHOR_HEXAGON),
+        )
+        result = run_suite("sec6", 2, seed=3)
+        assert result.passed and result.redraws == 1
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        ("suite", "name"), [("thm31", "_self_intersecting"), ("sec6", "two_plane_decomposition")]
+    )
+    def test_other_value_errors_are_not_redraws(self, monkeypatch, suite, name):
+        def raise_plain(real):
+            raise ValueError("degenerate and collinear, but not a precondition miss")
+
+        degenerate_first(monkeypatch, name, raise_plain)
+        with pytest.raises(ValueError, match="not a precondition miss"):
+            run_suite(suite, 1, seed=3)
+
+    def test_degenerate_cases_stay_value_errors(self):
+        with pytest.raises(ValueError, match="collinear"):
+            _self_intersecting(COLLINEAR_QUADRANGLE)
+        with pytest.raises(ValueError, match="collinear"):
+            two_plane_decomposition(COLLINEAR_ANCHOR_HEXAGON)
