@@ -293,10 +293,11 @@ def _validate_polygon_block(
                 coord_scale**2,
             )
 
+    # An analyze report's own "deltas" are the top-level ones, which the
+    # caller has already checked.
     fderived = _corner_dets(edges)
-    key = "derived_deltas" if "derived_deltas" in block else "deltas"
-    if block.get(key) is not None:
-        rec.corner_dets(f"{prefix}.{key}", block[key], fderived)
+    if block.get("derived_deltas") is not None:
+        rec.corner_dets(f"{prefix}.derived_deltas", block["derived_deltas"], fderived)
 
     if block.get("strongly_regular") and n == 6:
         delta_scale = _magnitude(value for value, _terms in fderived)

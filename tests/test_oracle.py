@@ -244,6 +244,16 @@ class TestFloatCrossValidation:
             "derived_analysis.derived_deltas[3]"
         ]
 
+    def test_analyze_determinant_is_checked_once(self):
+        polygon = golden.fixture_polygon("hexagon_regular.json")
+        report = analyze_report(polygon)
+        clean = float_cross_validate(report)
+        assert clean.ok and clean.checks == 18
+        corrupted = copy.deepcopy(report)
+        corrupted["deltas"][0] = str(Fraction(corrupted["deltas"][0]) + 1)
+        validation = float_cross_validate(corrupted)
+        assert [m.field for m in validation.mismatches] == ["deltas[1]"]
+
     @pytest.mark.parametrize("kind", ["quad", "pentagon", "hexagon-lift"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
