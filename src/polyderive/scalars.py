@@ -301,8 +301,10 @@ def power_scaler(scale: Scalar, power: int) -> Callable[[Fraction], Scalar]:
     extension multiplication.
     """
     if not isinstance(scale, QuadExt):
+        if scale == 1:
+            return lambda x: x
         factor = scale**power
-        return (lambda x: x) if factor == 1 else (lambda x: factor * x)
+        return lambda x: factor * x
     d = scale._d
     if scale._a and scale._b:
         raise ValueError(f"scale {scale} has no rational square")

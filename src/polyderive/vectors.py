@@ -62,7 +62,7 @@ ZERO_VEC = Vec3(Fraction(0), Fraction(0), Fraction(0))
 
 def scaled(vectors: Sequence[Vec3], scale: Scalar, power: int = 1) -> tuple[Vec3, ...]:
     """Each rational vector times ``scale**power``; see :func:`scalars.power_scaler`."""
-    if isinstance(scale, Fraction) and scale**power == 1:
+    if not isinstance(scale, QuadExt) and scale == 1:
         return tuple(vectors)
     times = power_scaler(scale, power)
     return tuple(Vec3(times(v.x), times(v.y), times(v.z)) for v in vectors)
