@@ -59,7 +59,7 @@ class DerivedPolygon:
 
     @property
     def edges(self) -> tuple[Vec3, ...]:
-        return edge_vectors(self)
+        return scaled(self.unscaled_edges, self.scale)
 
     @property
     def unscaled_edges(self) -> tuple[Vec3, ...]:
@@ -84,9 +84,8 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
     """Exact coplanarity of the vertices against the plane of the first three.
 
     Triangles are trivially planar. A derived polygon is tested on its
-    unscaled points, which are coplanar exactly when the vertices are; the
-    check stays in the exact field even when the vertices carry
-    extension-field coordinates.
+    unscaled points, which are coplanar exactly when the vertices are, so the
+    check runs over the rationals for either parity.
     """
     points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) < 4:

@@ -186,8 +186,7 @@ def canonical_alpha(verdict: RegularityVerdict, negative_root: bool = False) -> 
         raise ValueError("canonical scale roots apply to odd polygons only")
     if not verdict.regular or verdict.alpha_squared is None:
         raise IrregularPolygonError(verdict)
-    root = QuadExt.sqrt(verdict.alpha_squared)
-    return -root if negative_root else root
+    return QuadExt(0, -1 if negative_root else 1, verdict.alpha_squared)
 
 
 def support_system(

@@ -1,14 +1,15 @@
 """JSON forms of polygons and analyses, plus the report builders for the CLI.
 
-Every numeric field in a report is an exact scalar string (or an extension
-object); floats appear only in the plot output and the optional float
-validation block.
+Input coordinates are exact rational strings or ints. Every numeric field in
+a report is an exact scalar string, or an extension object for the powers of
+an odd polygon's irrational scale; floats appear only in the plot output and
+the optional float validation block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .derived import (
     DerivedPolygon,
@@ -37,7 +38,7 @@ from .regularity import (
     support_system,
     verify_support,
 )
-from .scalars import Scalar, format_scalar, parse_scalar, power_scaler
+from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, power_scaler
 from .vectors import Vec3, area_vector, scaled
 
 
@@ -49,11 +50,12 @@ def vec3_to_json(vector: Vec3) -> list:
     return [format_scalar(component) for component in vector]
 
 
-def vec3_from_json(items: object) -> Vec3:
+def vec3_from_json(items: object, parse: Callable[[object], Scalar] = parse_rational) -> Vec3:
+    """A vector of three rationals; ``plot`` passes :func:`parse_scalar` for report values."""
     if not isinstance(items, Sequence) or isinstance(items, (str, bytes)) or len(items) != 3:
         raise PolygonFormatError(f"a vector needs exactly three components, got {items!r}")
     try:
-        return Vec3(*(parse_scalar(component) for component in items))
+        return Vec3(*(parse(component) for component in items))
     except (TypeError, ValueError) as exc:
         raise PolygonFormatError(str(exc)) from exc
 
@@ -65,7 +67,8 @@ def polygon_to_json(polygon: Polygon) -> dict:
 def polygon_from_json(payload: object) -> Polygon:
     """Accepts {"vertices": [...]} or, for convenience, {"edges": [...]}.
 
-    Edge payloads must close up; the vertices are rebuilt from the origin.
+    Coordinates are rationals; an extension object is a format error. Edge
+    payloads must close up; the vertices are rebuilt from the origin.
     Extra keys (seed, kind, support_system, ...) are ignored so generated
     fixtures round-trip unchanged.
     """
@@ -311,7 +314,7 @@ def plot_lines(payload: dict) -> str:
     if not isinstance(block, dict) or not isinstance(block.get("vertices"), list):
         raise PolygonFormatError("nothing to plot: no vertices in payload")
 
-    points = [vec3_from_json(row) for row in block["vertices"]]
+    points = [vec3_from_json(row, parse_scalar) for row in block["vertices"]]
     two_plane = block.get("two_plane")
     tagged = isinstance(two_plane, dict) and bool(two_plane.get("offsets_equal"))
     lines = [f"# polyderive plot data, {len(points)} vertices"]

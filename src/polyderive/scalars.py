@@ -1,11 +1,12 @@
-"""Exact scalars: arbitrary-precision rationals plus quadratic extensions.
+"""Exact scalars: arbitrary-precision rationals plus their written-out radicals.
 
 Rational values are plain ``fractions.Fraction`` objects, which are always
-stored in lowest terms with a positive denominator. :class:`QuadExt` layers a
-formal ``sqrt(d)`` on top of them for the constructions whose scale factor is
-irrational. No floating point enters any computation in this module; the
-identities the rest of the library checks are polynomial and must hold
-exactly.
+stored in lowest terms with a positive denominator; every exact computation
+of the library runs on them. :class:`QuadExt` is the form ``a + b*sqrt(d)``
+in which a report writes a power ``scale**k * x`` of an odd polygon's
+irrational scale, and in which ``plot`` reads such values back. It keeps only
+the product, which squares a scale; sums, inverses and mixed signs have no
+user. No floating point enters any computation in this module.
 """
 
 from __future__ import annotations
@@ -66,12 +67,10 @@ class QuadExt:
     """Value ``a + b*sqrt(d)`` over the rationals, for one fixed radicand ``d > 0``.
 
     The radicand is kept exactly as given, with no square-free reduction:
-    every pipeline in this library lives inside a single extension fixed per
-    polygon, so identifying ``sqrt(8/5)`` with ``(2/5)*sqrt(10)`` would buy
-    nothing. Arithmetic between values carrying different radicands raises
-    :class:`RadicandMismatchError`. Should ``d`` happen to be the square of a
-    rational, the pair arithmetic is still exact; the degeneracy only
-    surfaces in :meth:`inverse` and :meth:`sign`, which then raise.
+    each odd polygon has one scale ``sqrt(alpha_squared)``, so identifying
+    ``sqrt(8/5)`` with ``(2/5)*sqrt(10)`` would buy nothing. Multiplying
+    values that carry different radicands raises
+    :class:`RadicandMismatchError`.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -97,10 +96,6 @@ class QuadExt:
         return self._d
 
     @classmethod
-    def from_rational(cls, value: int | Fraction, d: int | Fraction) -> QuadExt:
-        return cls(Fraction(value), Fraction(0), d)
-
-    @classmethod
     def sqrt(cls, d: int | Fraction) -> QuadExt:
         """The positive square root of ``d`` as an extension element."""
         return cls(Fraction(0), Fraction(1), d)
@@ -121,32 +116,6 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return _quad(Fraction(other), _ZERO, self._d)
         return None
-
-    def __add__(self, other: object) -> QuadExt:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return _quad(self._a + rhs._a, self._b + rhs._b, self._d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> QuadExt:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return _quad(self._a - rhs._a, self._b - rhs._b, self._d)
-
-    def __rsub__(self, other: object) -> QuadExt:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return _quad(rhs._a - self._a, rhs._b - self._b, self._d)
-
-    def __neg__(self) -> QuadExt:
-        return _quad(-self._a, -self._b, self._d)
-
-    def __pos__(self) -> QuadExt:
-        return self
 
     def __mul__(self, other: object) -> QuadExt:
         """``(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + bed) + (ae + bc)*sqrt(d)``.
@@ -171,52 +140,15 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> QuadExt:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other: object) -> QuadExt:
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
-
-    def inverse(self) -> QuadExt:
-        """Multiplicative inverse ``(a - b*sqrt(d)) / (a^2 - b^2 d)``.
-
-        A vanishing conjugate norm with a nonzero value means ``d`` is the
-        square of a rational; that degenerate use is reported, not absorbed.
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        norm = self._a * self._a - self._b * self._b * self._d
-        if norm == 0:
-            raise ValueError(
-                f"conjugate norm vanished for {self!r}: the radicand {self._d} "
-                "is the square of a rational"
-            )
-        return _quad(self._a / norm, -self._b / norm, self._d)
-
     def sign(self) -> int:
-        """Exact sign of the real number ``a + b*sqrt(d)``."""
-        if self._b == 0:
-            return _sign_of_fraction(self._a)
-        if self._a == 0:
-            return _sign_of_fraction(self._b)
-        sign_a = _sign_of_fraction(self._a)
-        if sign_a == _sign_of_fraction(self._b):
-            return sign_a
-        # a and b*sqrt(d) pull in opposite directions: the larger square wins.
-        left = self._a * self._a
-        right = self._b * self._b * self._d
-        if left == right:
-            raise ValueError(
-                f"sign of {self!r} undecidable as a formal pair: the radicand "
-                f"{self._d} is the square of a rational"
-            )
-        return sign_a if left > right else -sign_a
+        """Exact sign of ``a`` or of ``b*sqrt(d)``, whichever part is nonzero.
+
+        Written-out values have at most one nonzero part; a value with both
+        is refused rather than compared against its conjugate.
+        """
+        if self._a and self._b:
+            raise ValueError(f"sign of {self!r} needs a zero part")
+        return _sign_of_fraction(self._a or self._b)
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0

@@ -1,4 +1,8 @@
-"""3-vector algebra over the exact scalar tower: dot, cross, mixed, area vector."""
+"""3-vector algebra over the rationals: dot, cross, mixed, area vector.
+
+Vectors with :class:`~polyderive.scalars.QuadExt` components exist only as
+written-out values (:func:`scaled`); the products take rational vectors.
+"""
 
 from __future__ import annotations
 
@@ -49,8 +53,8 @@ class Vec3:
         return (float(self.x), float(self.y), float(self.z))
 
 
-def _component(value: object) -> Scalar:
-    if isinstance(value, (Fraction, QuadExt)):
+def _component(value: object) -> Fraction:
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return parse_rational(value)
@@ -72,17 +76,18 @@ def dot(a: Vec3, b: Vec3) -> Scalar:
     return a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def _integer_coordinates(v: Vec3) -> tuple[int, int, int, int] | None:
-    """``(x, y, z, m)`` with ``v = (x, y, z) / m`` on ints, or None off the rationals.
+def _integer_coordinates(v: Vec3) -> tuple[int, int, int, int]:
+    """``(x, y, z, m)`` with ``v = (x, y, z) / m`` on ints.
 
     ``m`` is the LCM of the component denominators. Cross and mixed products
-    are homogeneous, so they can run on the integers and divide once at the
-    end; ``Fraction(num, den)`` reduces to the same lowest terms as
-    componentwise Fraction arithmetic.
+    are homogeneous, so they run on the integers and divide once at the end;
+    ``Fraction(num, den)`` reduces to the same lowest terms as componentwise
+    Fraction arithmetic. A component that is not a ``Fraction`` raises
+    ``TypeError``.
     """
     x, y, z = v.x, v.y, v.z
     if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
-        return None
+        raise TypeError(f"cross and mixed products take rational vectors, got {v!r}")
     dx, dy, dz = x.denominator, y.denominator, z.denominator
     if dx == dy == dz:
         return x.numerator, y.numerator, z.numerator, dx
@@ -92,44 +97,29 @@ def _integer_coordinates(v: Vec3) -> tuple[int, int, int, int] | None:
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product; orthogonal to both arguments."""
-    ia = _integer_coordinates(a)
-    ib = _integer_coordinates(b) if ia is not None else None
-    if ib is not None:
-        ax, ay, az, ma = ia
-        bx, by, bz, mb = ib
-        m = ma * mb
-        return Vec3(
-            Fraction(ay * bz - az * by, m),
-            Fraction(az * bx - ax * bz, m),
-            Fraction(ax * by - ay * bx, m),
-        )
+    ax, ay, az, ma = _integer_coordinates(a)
+    bx, by, bz, mb = _integer_coordinates(b)
+    m = ma * mb
     return Vec3(
-        a.y * b.z - a.z * b.y,
-        a.z * b.x - a.x * b.z,
-        a.x * b.y - a.y * b.x,
+        Fraction(ay * bz - az * by, m),
+        Fraction(az * bx - ax * bz, m),
+        Fraction(ax * by - ay * bx, m),
     )
 
 
-def mixed(a: Vec3, b: Vec3, c: Vec3) -> Scalar:
+def mixed(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
     """Determinant with rows a, b, c, evaluated as dot(a, cross(b, c)).
 
-    Rational rows take the integer cofactor expansion over the product of
-    their denominators; rows with extension components take the componentwise
-    path. Both are exact and give the same value, so the choice is invisible
-    to callers.
+    The rows run as one integer cofactor expansion over the product of their
+    denominators.
     """
-    ia = _integer_coordinates(a)
-    ib = _integer_coordinates(b) if ia is not None else None
-    ic = _integer_coordinates(c) if ib is not None else None
-    if ic is not None:
-        ax, ay, az, ma = ia
-        bx, by, bz, mb = ib
-        cx, cy, cz, mc = ic
-        return Fraction(
-            ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx),
-            ma * mb * mc,
-        )
-    return dot(a, cross(b, c))
+    ax, ay, az, ma = _integer_coordinates(a)
+    bx, by, bz, mb = _integer_coordinates(b)
+    cx, cy, cz, mc = _integer_coordinates(c)
+    return Fraction(
+        ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx),
+        ma * mb * mc,
+    )
 
 
 def area_vector(points: Sequence[Vec3]) -> Vec3:

@@ -43,6 +43,53 @@ def det3(a, b, c) -> Fraction:
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
 
+class Pair:
+    """Reference ``a + b*sqrt(d)`` with the textbook sum and product.
+
+    Independent of :class:`polyderive.QuadExt`, whose written-out values the
+    tests compare against it; :meth:`json` is the report form of the value.
+    """
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), Fraction(d)
+
+    @classmethod
+    def of(cls, value, d):
+        """A written-out ``QuadExt`` or a rational, over the radicand ``d``."""
+        if isinstance(value, Fraction):
+            return cls(value, 0, d)
+        return cls(value.a, value.b, value.d)
+
+    def __add__(self, other):
+        return Pair(self.a + other.a, self.b + other.b, self.d)
+
+    def __sub__(self, other):
+        return Pair(self.a - other.a, self.b - other.b, self.d)
+
+    def __neg__(self):
+        return Pair(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        return Pair(
+            self.a * other.a + self.b * other.b * self.d,
+            self.a * other.b + self.b * other.a,
+            self.d,
+        )
+
+    def __eq__(self, other):
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+    def __repr__(self):
+        return f"Pair({self.a}, {self.b}, d={self.d})"
+
+    def json(self):
+        return {"a": str(self.a), "b": str(self.b), "d": str(self.d)}
+
+
+def pairs(vector, d) -> tuple[Pair, ...]:
+    return tuple(Pair.of(component, d) for component in vector)
+
+
 # Generic quadrangle: vertices, edges, support chain, all exact.
 QUADRANGLE_VERTICES = vecs((0, 0, 0), (1, 1, 2), (2, 3, 1), (-1, 2, -2))
 QUADRANGLE_EDGES = vecs((1, 1, 2), (1, 2, -1), (-3, -1, -3), (1, -2, 2))

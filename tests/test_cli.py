@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,42 @@ HUGE_PENTAGON = {
     ]
 }
 
+
+
+def _radical(x: str, d: str) -> dict:
+    return {"a": "0", "b": x, "d": d}
+
+
+# Extension objects in an input polygon: the pentagon fixture with x scaled by
+# sqrt(2), the same with vertices over sqrt(2) and sqrt(3), and the quadrangle's
+# edges with one rational-valued extension component.
+EXTENSION_INPUTS = {
+    "sqrt2-pentagon": {
+        "vertices": [
+            [_radical(x, "2"), y, z]
+            for x, y, z in (("0", "0", "0"), ("1", "0", "0"), ("1", "1", "0"),
+                            ("1", "1", "1"), ("3", "-1", "4"))
+        ]
+    },
+    "mixed-radicands": {
+        "vertices": [
+            [_radical(x, d), y, z]
+            for (x, y, z), d in zip(
+                (("0", "0", "0"), ("1", "0", "0"), ("1", "1", "0"), ("1", "1", "1"),
+                 ("3", "-1", "4")),
+                ("2", "3", "2", "3", "2"),
+            )
+        ]
+    },
+    "extension-edge": {
+        "edges": [
+            [{"a": "1", "b": "0", "d": "5"}, "1", "2"],
+            ["1", "2", "-1"],
+            ["-3", "-1", "-3"],
+            ["1", "-2", "2"],
+        ]
+    },
+}
 
 TRIANGLE = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
 # Runs each argument list through cli.main with numpy unimportable and prints
@@ -163,6 +200,19 @@ class TestWithoutNumpy:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [[0, True]] * len(runs)
+
+
+class TestExtensionInput:
+    @pytest.mark.parametrize("name", sorted(EXTENSION_INPUTS))
+    @pytest.mark.parametrize("command", ["check", "analyze", "derive"])
+    def test_extension_coordinates_are_a_usage_error(self, capsys, tmp_path, name, command):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(EXTENSION_INPUTS[name]))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse rational from dict value")
+        assert "Traceback" not in err
 
 
 class TestDerive:
@@ -377,6 +427,24 @@ class TestPlot:
         assert "# planar true" in out
         assert sum(1 for line in lines if line.startswith("v ")) == 4
         assert sum(1 for line in lines if line.startswith("e ")) == 4
+
+    def test_pentagon_derive_report_plots_extension_vertices(self, capsys, tmp_path):
+        code, report = run_json(capsys, "derive", PENTAGON)
+        assert code == 0
+        vertices = report["derived_analysis"]["vertices"]
+        assert vertices[0][2] == {"a": "0", "b": "5/8", "d": "8/5"}
+        path = tmp_path / "pentagon_report.json"
+        path.write_text(json.dumps(report))
+        plot_code, out, _err = run_cli(capsys, "plot", str(path))
+        assert plot_code == 0
+        rows = [line.split() for line in out.splitlines() if line.startswith("v ")]
+        assert [row[1] for row in rows] == ["1", "2", "3", "4", "5"]
+        root = (8 / 5) ** 0.5
+        for row, vertex in zip(rows, vertices):
+            expected = [float(Fraction(c["b"])) * root for c in vertex]
+            assert [float(x) for x in row[2:5]] == pytest.approx(expected, rel=1e-15)
+        assert "# planar true" in out
+        assert "plane=" not in out
 
     def test_triangle(self, capsys, tmp_path):
         path = tmp_path / "triangle.json"

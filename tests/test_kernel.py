@@ -1,16 +1,17 @@
-"""Differential tests of the exact kernel against reference arithmetic kept here.
+"""Differential tests of the exact kernel against reference arithmetic.
 
-``cross`` and ``mixed`` run rational vectors on common-denominator integers and
-extension vectors componentwise; ``QuadExt.__mul__`` skips products with a zero
-factor. Each result must equal, value for value and in its JSON form, what the
-plain formulas give: Fraction arithmetic for rational vectors and ``(a, b)``
-pair arithmetic for ``a + b*sqrt(d)``.
+``cross`` and ``mixed`` run rational vectors on common-denominator integers;
+``QuadExt.__mul__`` skips products with a zero factor. Each result must equal,
+value for value and in its JSON form, what the plain formulas give: Fraction
+arithmetic for rational vectors and the ``(a, b)`` product for
+``a + b*sqrt(d)``.
 
 Odd-n support systems and their derivatives are held as one scale times
 rational vectors and written out through powers of the scale built from
-parts. They must equal the componentwise ``QuadExt`` scaling kept here as the
-reference: ``b_k * alpha`` and ``b_k * alpha**-1``, with the derived edges,
-area vector and determinants computed on those extension vectors.
+parts. They must equal the componentwise scaling in the independent
+:class:`golden.Pair` arithmetic: ``b_k * alpha`` and ``b_k * alpha**-1``,
+which is ``Pair(0, s*b_k/r)`` for ``alpha = s*sqrt(r)``, with the derived
+edges, area vector and determinants computed on those pairs.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import Pair, pairs
 from polyderive import (
     Polygon,
     QuadExt,
     Vec3,
-    area_vector,
     canonical_alpha,
     check_regularity,
     cross,
@@ -66,7 +68,6 @@ extension_values = st.one_of(
     st.builds(lambda a, b: QuadExt(a, b, RADICAND), rationals, rationals),
     st.builds(lambda a: QuadExt(a, 0, RADICAND), rationals),
 )
-extension_vectors = st.builds(Vec3, extension_values, extension_values, extension_values)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -82,36 +83,6 @@ def ref_mixed(a, b, c):
     b1, b2, b3 = b
     c1, c2, c3 = c
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
-
-
-class Pair:
-    """Reference ``a + b*sqrt(RADICAND)`` with the textbook product."""
-
-    def __init__(self, a, b):
-        self.a, self.b = Fraction(a), Fraction(b)
-
-    @classmethod
-    def of(cls, value):
-        return cls(value.a, value.b) if isinstance(value, QuadExt) else cls(value, 0)
-
-    def __add__(self, other):
-        return Pair(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return Pair(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return Pair(
-            self.a * other.a + self.b * other.b * RADICAND,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __eq__(self, other):
-        return (self.a, self.b) == (other.a, other.b)
-
-
-def pairs(vector):
-    return tuple(Pair.of(component) for component in vector)
 
 
 class TestRationalKernel:
@@ -136,24 +107,16 @@ class TestRationalKernel:
         assert cross(a, b) == Vec3(Fraction(1, 30), Fraction(1, 30), Fraction(-2, 15))
         assert str(mixed(a, b, Vec3.of(30, 0, 0))) == "1"
 
+    def test_extension_components_are_refused(self):
+        rational = Vec3.of(1, 2, 3)
+        radical = Vec3(Fraction(1), QuadExt.sqrt(2), Fraction(0))
+        with pytest.raises(TypeError, match="rational vectors"):
+            cross(rational, radical)
+        with pytest.raises(TypeError, match="rational vectors"):
+            mixed(rational, rational, radical)
+
 
 class TestExtensionKernel:
-    @SETTINGS
-    @given(extension_vectors, extension_vectors)
-    def test_cross_matches_pair_reference(self, a, b):
-        assert pairs(cross(a, b)) == ref_cross(pairs(a), pairs(b))
-
-    @SETTINGS
-    @given(extension_vectors, extension_vectors, extension_vectors)
-    def test_mixed_matches_pair_reference(self, a, b, c):
-        assert Pair.of(mixed(a, b, c)) == ref_mixed(pairs(a), pairs(b), pairs(c))
-
-    @SETTINGS
-    @given(rational_vectors, extension_vectors, rational_vectors)
-    def test_rational_and_extension_rows_mix(self, a, b, c):
-        assert Pair.of(mixed(a, b, c)) == ref_mixed(pairs(a), pairs(b), pairs(c))
-        assert pairs(cross(a, b)) == ref_cross(pairs(a), pairs(b))
-
     @SETTINGS
     @given(extension_values, extension_values)
     def test_product_with_zero_parts_matches_general_formula(self, x, y):
@@ -209,15 +172,24 @@ def regular_odd_polygon(rng: random.Random, n: int) -> Polygon:
 
 
 def reference_support(edges, negative_root):
-    """Componentwise QuadExt scaling: b_k * alpha at even positions, b_k / alpha at odd ones."""
+    """Componentwise scaling in pair arithmetic, for ``alpha = s*sqrt(r)``.
+
+    Even positions (1-based) get ``b_k * alpha = Pair(0, s*b_k)``, odd ones
+    ``b_k * alpha**-1 = Pair(0, s*b_k/r)``.
+    """
     verdict = check_regularity(deltas(edges))
     alpha = canonical_alpha(verdict, negative_root)
-    inverse = alpha.inverse()
+    r, s = verdict.alpha_squared, -1 if negative_root else 1
     basis = support_basis(edges)
     vectors = tuple(
-        vector * (alpha if k % 2 else inverse) for k, vector in enumerate(basis.vectors)
+        tuple(Pair(0, s * c if k % 2 else s * c / r, r) for c in vector)
+        for k, vector in enumerate(basis.vectors)
     )
     return basis, verdict, alpha, vectors
+
+
+def pair_json(vectors):
+    return [[component.json() for component in vector] for vector in vectors]
 
 
 def as_json(vectors):
@@ -238,33 +210,49 @@ class TestScaledOddSystems:
     def test_system_equals_componentwise_scaling(self, polygon, negative_root):
         edges = edge_vectors(polygon)
         basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        r = verdict.alpha_squared
         system = support_system(basis, verdict, alpha)
         assert verify_support(system, edges).ok
-        assert verify_support(expected, edges).ok
-        assert system.vectors == expected
-        assert as_json(system.vectors) == as_json(expected)
+        count = len(edges)
+        for i in range(count):
+            product = ref_cross(expected[i], expected[(i + 1) % count])
+            assert product == pairs(edges[(i + 1) % count], r)
+        assert tuple(pairs(vector, r) for vector in system.vectors) == expected
+        assert as_json(system.vectors) == pair_json(expected)
 
     @ODD_SETTINGS
     @given(odd_polygons, st.booleans())
     def test_derived_polygon_equals_componentwise_reference(self, polygon, negative_root):
         edges = edge_vectors(polygon)
         basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        r = verdict.alpha_squared
         derived = derive(support_system(basis, verdict, alpha))
-        expected_edges = edge_vectors(Polygon(expected))
-        expected_area = area_vector(expected)
-        expected_deltas = deltas(expected_edges)
-        assert derived.vertices == expected
-        assert derived.edges == expected_edges
-        assert derived_deltas(derived) == expected_deltas
+        count = len(expected)
+        expected_edges = tuple(
+            tuple(q - p for p, q in zip(expected[k], expected[(k + 1) % count]))
+            for k in range(count)
+        )
+        expected_area = tuple(Pair(0, 0, r) for _ in range(3))
+        for k in range(count):
+            step = ref_cross(expected[k], expected[(k + 1) % count])
+            expected_area = tuple(total + part for total, part in zip(expected_area, step))
+        expected_deltas = tuple(
+            ref_mixed(*(expected_edges[(k + j) % count] for j in range(3)))
+            for k in range(count)
+        )
+        assert tuple(pairs(vertex, r) for vertex in derived.vertices) == expected
+        assert tuple(pairs(edge, r) for edge in derived.edges) == expected_edges
+        assert tuple(Pair.of(v, r) for v in derived_deltas(derived)) == expected_deltas
 
         block = derive_report(polygon, negative_root=negative_root)["derived_analysis"]
-        assert block["vertices"] == as_json(expected)
-        assert block["edges"] == as_json(expected_edges)
-        assert block["area_vector"] == vec3_to_json(expected_area)
-        assert block["derivability_defect"] == vec3_to_json(expected_area)
-        assert block["derived_generic"] == all(expected_deltas)
+        zero = Pair(0, 0, r)
+        assert block["vertices"] == pair_json(expected)
+        assert block["edges"] == pair_json(expected_edges)
+        assert block["area_vector"] == pair_json([expected_area])[0]
+        assert block["derivability_defect"] == pair_json([expected_area])[0]
+        assert block["derived_generic"] == all(v != zero for v in expected_deltas)
         if block["derived_generic"]:
-            assert block["derived_deltas"] == [format_scalar(v) for v in expected_deltas]
+            assert block["derived_deltas"] == [v.json() for v in expected_deltas]
 
     @SETTINGS
     @given(

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import golden
-from golden import vecs
+from golden import Pair, pairs, vecs
 from polyderive import (
     GenConfig,
     IrregularPolygonError,
@@ -135,7 +135,7 @@ class TestSupportSystem:
     def test_pentagon_negative_root_also_verifies(self):
         edges = golden.PENTAGON_EDGES
         system = build_support_system(edges, negative_root=True)
-        assert system.alpha == -QuadExt.sqrt(golden.PENTAGON_ALPHA_SQUARED)
+        assert system.alpha == QuadExt(0, -1, golden.PENTAGON_ALPHA_SQUARED)
         assert verify_support(system, edges).ok
 
     def test_flat_support_round_trip(self):
@@ -199,18 +199,30 @@ class TestSupportSystem:
         verdict = check_regularity(deltas(edges))
         assert verdict.alpha_squared == 4
         basis = support_basis(edges)
-        for alpha in (2, Fraction(-2), QuadExt(2, 0, 3), QuadExt(0, 1, 4), QuadExt(0, 4, Fraction(1, 4))):
+        # Each root as a + b*sqrt(d) with a zero part; alpha**-1 = alpha / 4.
+        for alpha, (a, b, d) in (
+            (2, (2, 0, 1)),
+            (Fraction(-2), (-2, 0, 1)),
+            (QuadExt(2, 0, 3), (2, 0, 3)),
+            (QuadExt(0, 1, 4), (0, 1, 4)),
+            (QuadExt(0, 4, Fraction(1, 4)), (0, 4, Fraction(1, 4))),
+        ):
             system = support_system(basis, verdict, alpha)
             assert verify_support(system, edges).ok
-            root = Fraction(alpha) if isinstance(alpha, int) else alpha
-            inverse = root.inverse() if isinstance(root, QuadExt) else 1 / root
+            root, inverse = Pair(a, b, d), Pair(Fraction(a, 4), Fraction(b, 4), d)
             expected = tuple(
-                vector * (root if k % 2 else inverse) for k, vector in enumerate(basis.vectors)
+                tuple(Pair(c, 0, d) * (root if k % 2 else inverse) for c in vector)
+                for k, vector in enumerate(basis.vectors)
             )
-            assert system.vectors == expected
-            assert [list(map(format_scalar, v)) for v in system.vectors] == [
-                list(map(format_scalar, v)) for v in expected
-            ]
+            assert tuple(pairs(vector, d) for vector in system.vectors) == expected
+            if isinstance(alpha, QuadExt):
+                assert [list(map(format_scalar, v)) for v in system.vectors] == [
+                    [c.json() for c in v] for v in expected
+                ]
+            else:
+                assert [list(map(format_scalar, v)) for v in system.vectors] == [
+                    [str(c.a) for c in v] for v in expected
+                ]
 
     def test_irregular_polygon_is_rejected(self):
         verdict = check_regularity((1, -2, 3, -4, 5, -6))
@@ -312,4 +324,7 @@ class TestFamilyInvariants:
             minus = build_support_system(edges, negative_root=True)
             assert verify_support(plus, edges).ok
             assert verify_support(minus, edges).ok
-            assert minus.vectors == tuple(-u for u in plus.vectors)
+            r = plus.alpha.d
+            assert tuple(pairs(u, r) for u in minus.vectors) == tuple(
+                tuple(-c for c in pairs(u, r)) for u in plus.vectors
+            )
