@@ -50,8 +50,12 @@ def vec3_to_json(vector: Vec3) -> list:
     return [format_scalar(component) for component in vector]
 
 
-def vec3_from_json(items: object, parse: Callable[[object], Scalar] = parse_rational) -> Vec3:
-    """A vector of three rationals; ``plot`` passes :func:`parse_scalar` for report values."""
+def vec3_from_json(items: object) -> Vec3:
+    """An input vector: three rationals, so an extension object is a format error."""
+    return _vec3(items, parse_rational)
+
+
+def _vec3(items: object, parse: Callable[[object], Scalar]) -> Vec3:
     if not isinstance(items, Sequence) or isinstance(items, (str, bytes)) or len(items) != 3:
         raise PolygonFormatError(f"a vector needs exactly three components, got {items!r}")
     try:
@@ -314,7 +318,8 @@ def plot_lines(payload: dict) -> str:
     if not isinstance(block, dict) or not isinstance(block.get("vertices"), list):
         raise PolygonFormatError("nothing to plot: no vertices in payload")
 
-    points = [vec3_from_json(row, parse_scalar) for row in block["vertices"]]
+    # Report vertices of an odd derivative are written-out extension values.
+    points = [_vec3(row, parse_scalar) for row in block["vertices"]]
     two_plane = block.get("two_plane")
     tagged = isinstance(two_plane, dict) and bool(two_plane.get("offsets_equal"))
     lines = [f"# polyderive plot data, {len(points)} vertices"]

@@ -215,14 +215,10 @@ class TestSupportSystem:
                 for k, vector in enumerate(basis.vectors)
             )
             assert tuple(pairs(vector, d) for vector in system.vectors) == expected
-            if isinstance(alpha, QuadExt):
-                assert [list(map(format_scalar, v)) for v in system.vectors] == [
-                    [c.json() for c in v] for v in expected
-                ]
-            else:
-                assert [list(map(format_scalar, v)) for v in system.vectors] == [
-                    [str(c.a) for c in v] for v in expected
-                ]
+            extension = isinstance(alpha, QuadExt)
+            assert [list(map(format_scalar, v)) for v in system.vectors] == [
+                [c.json() if extension else str(c.a) for c in v] for v in expected
+            ]
 
     def test_irregular_polygon_is_rejected(self):
         verdict = check_regularity((1, -2, 3, -4, 5, -6))

@@ -123,7 +123,7 @@ class TestQuadExtComparisons:
     def test_sign(self, a, b, expected):
         assert quad(a, b).sign() == expected
 
-    @pytest.mark.parametrize("a,b", [(1, 1), (-1, -1), (1, -1), (3, -2)])
+    @pytest.mark.parametrize("a,b", [(1, 1), (-1, -1), (1, -1), (-1, 1), (3, -2)])
     def test_sign_needs_a_zero_part(self, a, b):
         with pytest.raises(ValueError, match="zero part"):
             quad(a, b).sign()
