@@ -4,9 +4,9 @@ Rational values are plain ``fractions.Fraction`` objects, which are always
 stored in lowest terms with a positive denominator; every exact computation
 of the library runs on them. :class:`QuadExt` is the form ``a + b*sqrt(d)``
 in which a report writes a power ``scale**k * x`` of an odd polygon's
-irrational scale, and in which ``plot`` reads such values back. It keeps only
-the product, which squares a scale; sums, inverses and mixed signs have no
-user. No floating point enters any computation in this module.
+irrational scale, and in which ``plot`` reads such values back. Its one
+arithmetic operation is the product, which squares a scale. No floating
+point enters any computation in this module.
 """
 
 from __future__ import annotations
