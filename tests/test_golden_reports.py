@@ -36,6 +36,8 @@ FIXTURES = [
 ]
 KINDS = [("quad", True), ("pentagon", False), ("hexagon-lift", True), ("alt-sign", True)]
 GENERATED = [(kind, seed, even) for kind, even in KINDS for seed in (1, 2)]
+# Each of these seeds redraws one sample: thm51, thm52 and eq4 respectively.
+VERIFY_SEEDS = (24, 50, 378)
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -75,6 +77,13 @@ def _cases() -> list[tuple[str, list[str]]]:
             ["plot", "tests/golden_reports/analyze_derived_hexagon.out"],
         ),
         ("plot_derived_block.out", ["plot", f"{INPUTS}/derived_block.json"]),
+    ]
+    cases += [
+        (
+            f"verify_all_s{seed}.out",
+            ["verify", "--suite", "all", "--samples", "3", "--seed", str(seed)],
+        )
+        for seed in VERIFY_SEEDS
     ]
     return cases
 
