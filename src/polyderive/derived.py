@@ -15,7 +15,13 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .polygon import NonGenericPolygonError, Polygon, deltas, edge_vectors
-from .regularity import SupportSystem, build_support_system
+from .regularity import (
+    SupportSystem,
+    build_support_system,
+    check_regularity,
+    support_basis,
+    support_system,
+)
 from .scalars import Scalar, power_scaler, scalar_sign
 from .vectors import Vec3, area_vector, cross, dot, mixed, scaled
 
@@ -222,12 +228,15 @@ def second_derivative_type(
     The first derivative of a regular hexagon is strongly regular, hence
     itself regular, so the second derivative exists for any nonzero scale.
     A non-regular intermediate therefore signals a bug or a degenerate input
-    and raises.
+    and raises. The first derivative's edges and determinants are computed
+    once and feed both its type and the second support chain.
     """
-    first = derive(build_support_system(edges, alpha=alpha1))
-    first_values = deltas(first.edges)
+    first_edges = derive(build_support_system(edges, alpha=alpha1)).edges
+    first_values = deltas(first_edges)
     first_type = hex_type(first_values)
-    second = derive(build_support_system(first.edges, alpha=alpha2))
+    verdict = check_regularity(first_values)
+    basis = support_basis(first_edges, first_values)
+    second = derive(support_system(basis, verdict, alpha2))
     second_values = deltas(second.edges)
     second_type = hex_type(second_values)
     return SecondDerivativeResult(first_type, second_type, first_values, second_values)

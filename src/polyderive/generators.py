@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polygon import Polygon, deltas, edge_vectors, is_generic, mirror
-from .regularity import SupportSystem, support_basis
+from .polygon import Polygon, deltas, edge_vectors, mirror
+from .regularity import SupportSystem
 from .scalars import scalar_sign
 from .vectors import Vec3, cross
 
@@ -62,7 +62,7 @@ def _random_vertex(rng: random.Random, bound: int) -> Vec3:
 
 
 def random_generic_polygon(n: int, cfg: GenConfig) -> Polygon:
-    """Generic n-gon by rejection sampling on the genericity scan.
+    """Generic n-gon by rejection sampling on the corner determinants.
 
     Needs n >= 4: the three edges of a closed triangle always span at most a
     plane, so no triangle is generic.
@@ -74,7 +74,7 @@ def random_generic_polygon(n: int, cfg: GenConfig) -> Polygon:
         polygon = Polygon(
             tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(n))
         )
-        if is_generic(edge_vectors(polygon)).ok:
+        if all(deltas(edge_vectors(polygon))):
             return polygon
     raise _budget_error(f"a generic {n}-gon", cfg)
 
@@ -91,10 +91,10 @@ def random_regular_pentagon(cfg: GenConfig) -> Polygon:
         polygon = Polygon(
             tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(5))
         )
-        edges = edge_vectors(polygon)
-        if not is_generic(edges).ok:
+        values = deltas(edge_vectors(polygon))
+        if not all(values):
             continue
-        if scalar_sign(math.prod(deltas(edges), start=Fraction(1))) < 0:
+        if scalar_sign(math.prod(values, start=Fraction(1))) < 0:
             polygon = mirror(polygon)
         return polygon
     raise _budget_error("a regular pentagon", cfg)
@@ -145,6 +145,11 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     the six points and the polygon's edges are their consecutive cross
     products. Closure of the edges is automatic for this construction; it is
     still verified per instance, and any non-generic outcome is resampled.
+
+    The family parameter alpha is read off cross(v_1, v_2) alone: the
+    canonical support chain starts with that vector at coefficient one, so
+    no other chain vector is needed to place the lift's system in the
+    scaling family.
     """
     rng = random.Random(cfg.seed)
     one = Fraction(1)
@@ -160,16 +165,10 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
         )
         support = tuple(p - apex for p in lifted)
         edges = tuple(cross(support[i - 1], support[i]) for i in range(6))
-        total = edges[0]
-        for edge in edges[1:]:
-            total = total + edge
-        if not total.is_zero():
-            raise RuntimeError("lift construction failed to close; this is a bug")
-        if not is_generic(edges).ok:
+        if not all(deltas(edges)):
             continue
-        polygon = Polygon.from_edges(edges)
-        basis = support_basis(edges)
-        alpha = _family_parameter(basis.vectors[0], support[0])
+        polygon = Polygon.from_edges(edges)  # raises if the edges fail to close
+        alpha = _family_parameter(cross(edges[0], edges[1]), support[0])
         return polygon, SupportSystem(support, alpha, "even")
     raise _budget_error("a lifted regular hexagon", cfg)
 
@@ -195,10 +194,10 @@ def alternating_sign_hexagon(cfg: GenConfig) -> Polygon:
         polygon = Polygon(
             tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(6))
         )
-        edges = edge_vectors(polygon)
-        if not is_generic(edges).ok:
+        values = deltas(edge_vectors(polygon))
+        if not all(values):
             continue
-        signs = tuple(scalar_sign(value) for value in deltas(edges))
+        signs = tuple(scalar_sign(value) for value in values)
         if signs == target:
             return polygon
     raise _budget_error("an alternating-sign hexagon", cfg)

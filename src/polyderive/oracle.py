@@ -32,6 +32,10 @@ class SupportMatrix:
     rows: tuple[Vec3, Vec3, Vec3, Vec3, Vec3, Vec3]
 
 
+class OpenSupportError(ValueError):
+    """The six vectors do not support a closed hexagon: their row sum is not zero."""
+
+
 def _six(vectors: Sequence[Vec3]) -> tuple[Vec3, ...]:
     chain = tuple(vectors)
     if len(chain) != 6:
@@ -97,7 +101,7 @@ def derived_relation_defects(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
     """
     chain = _six(vectors)
     if not row_sum_defect(chain).is_zero():
-        raise ValueError("the six vectors do not support a closed hexagon")
+        raise OpenSupportError("the six vectors do not support a closed hexagon")
     edges = tuple(chain[(i + 1) % 6] - chain[i] for i in range(6))
     values = deltas(edges)
     for position, value in enumerate(values):
