@@ -228,15 +228,13 @@ def second_derivative_type(
     The first derivative of a regular hexagon is strongly regular, hence
     itself regular, so the second derivative exists for any nonzero scale.
     A non-regular intermediate therefore signals a bug or a degenerate input
-    and raises. The first derivative's edges and determinants are computed
-    once and feed both its type and the second support chain.
+    and raises. The intermediate's determinants serve its type and the next chain.
     """
     first_edges = derive(build_support_system(edges, alpha=alpha1)).edges
     first_values = deltas(first_edges)
     first_type = hex_type(first_values)
-    verdict = check_regularity(first_values)
     basis = support_basis(first_edges, first_values)
-    second = derive(support_system(basis, verdict, alpha2))
+    second = derive(support_system(basis, check_regularity(first_values), alpha2))
     second_values = deltas(second.edges)
     second_type = hex_type(second_values)
     return SecondDerivativeResult(first_type, second_type, first_values, second_values)

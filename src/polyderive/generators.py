@@ -12,10 +12,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .polygon import Polygon, deltas, edge_vectors, mirror
 from .regularity import SupportSystem
-from .scalars import scalar_sign
+from .scalars import Scalar, scalar_sign
 from .vectors import Vec3, cross
 
 
@@ -61,6 +62,16 @@ def _random_vertex(rng: random.Random, bound: int) -> Vec3:
     )
 
 
+def _generic_draws(n: int, cfg: GenConfig) -> Iterator[tuple[Polygon, tuple[Scalar, ...]]]:
+    """The generic ones among random n-gon draws, with their corner determinants."""
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.max_rejections):
+        polygon = Polygon(tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(n)))
+        values = deltas(edge_vectors(polygon))
+        if all(values):
+            yield polygon, values
+
+
 def random_generic_polygon(n: int, cfg: GenConfig) -> Polygon:
     """Generic n-gon by rejection sampling on the corner determinants.
 
@@ -69,13 +80,8 @@ def random_generic_polygon(n: int, cfg: GenConfig) -> Polygon:
     """
     if n < 4:
         raise ValueError("generic polygons need at least four vertices")
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_rejections):
-        polygon = Polygon(
-            tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(n))
-        )
-        if all(deltas(edge_vectors(polygon))):
-            return polygon
+    for polygon, _values in _generic_draws(n, cfg):
+        return polygon
     raise _budget_error(f"a generic {n}-gon", cfg)
 
 
@@ -86,16 +92,9 @@ def random_regular_pentagon(cfg: GenConfig) -> Polygon:
     product of the five, so whichever of a sample and its mirror image has
     the positive product is the regular one.
     """
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_rejections):
-        polygon = Polygon(
-            tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(5))
-        )
-        values = deltas(edge_vectors(polygon))
-        if not all(values):
-            continue
+    for polygon, values in _generic_draws(5, cfg):
         if scalar_sign(math.prod(values, start=Fraction(1))) < 0:
-            polygon = mirror(polygon)
+            return mirror(polygon)
         return polygon
     raise _budget_error("a regular pentagon", cfg)
 
@@ -146,10 +145,9 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     products. Closure of the edges is automatic for this construction; it is
     still verified per instance, and any non-generic outcome is resampled.
 
-    The family parameter alpha is read off cross(v_1, v_2) alone: the
-    canonical support chain starts with that vector at coefficient one, so
-    no other chain vector is needed to place the lift's system in the
-    scaling family.
+    The family parameter alpha is read off cross(v_1, v_2): the canonical
+    support chain starts with that vector at coefficient one, so no other
+    chain vector is needed to place the lift's system in the family.
     """
     rng = random.Random(cfg.seed)
     one = Fraction(1)
@@ -188,16 +186,8 @@ def alternating_sign_hexagon(cfg: GenConfig) -> Polygon:
     odd positions is positive while the product over even positions is
     negative.
     """
-    rng = random.Random(cfg.seed)
     target = (1, -1, 1, -1, 1, -1)
-    for _ in range(cfg.max_rejections):
-        polygon = Polygon(
-            tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(6))
-        )
-        values = deltas(edge_vectors(polygon))
-        if not all(values):
-            continue
-        signs = tuple(scalar_sign(value) for value in values)
-        if signs == target:
+    for polygon, values in _generic_draws(6, cfg):
+        if tuple(scalar_sign(value) for value in values) == target:
             return polygon
     raise _budget_error("an alternating-sign hexagon", cfg)

@@ -31,6 +31,7 @@ from .derived import (
 )
 from .generators import (
     GenConfig,
+    _random_vertex,
     random_generic_polygon,
     random_regular_pentagon,
     regular_hexagon_via_lift,
@@ -45,7 +46,7 @@ from .regularity import (
     support_system,
 )
 from .reports import polygon_to_json, vec3_to_json
-from .vectors import Vec3, area_vector
+from .vectors import area_vector
 
 SCALE_FACTORS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
 SCALE_PAIRS = (
@@ -121,13 +122,6 @@ def _run(
     return SuiteResult(name, samples, failures, first, redraws)
 
 
-def _random_rational_vec(rng: random.Random, bound: int = 9) -> Vec3:
-    def part() -> Fraction:
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-    return Vec3(part(), part(), part())
-
-
 def _suite_quadrangle_derivatives(samples: int, seed: int) -> SuiteResult:
     """Every generic quadrangle is regular with determinants (d, -d, d, -d);
     its derivative is planar, has zero area vector, and self-intersects."""
@@ -186,8 +180,7 @@ def _suite_pentagon_derivatives(samples: int, seed: int) -> SuiteResult:
 
 def _suite_hexagon_types(samples: int, seed: int) -> SuiteResult:
     """Derivatives of a regular hexagon are strongly regular and share one
-    type across the whole scaling family. Every member of the family rescales
-    the one support chain of the drawn hexagon."""
+    type across the scaling family, built by rescaling one support chain."""
 
     def check_one(child: int) -> dict | None:
         cfg = GenConfig(seed=child)
@@ -275,7 +268,7 @@ def _suite_nested_cross(samples: int, seed: int) -> SuiteResult:
 
     def check_one(child: int) -> dict | None:
         rng = random.Random(child)
-        a, b, c = (_random_rational_vec(rng) for _ in range(3))
+        a, b, c = (_random_vertex(rng, bound=9) for _ in range(3))
         left, right = nested_cross_identity(a, b, c)
         if left != right:
             return {
@@ -293,7 +286,7 @@ def _suite_alternating_products(samples: int, seed: int) -> SuiteResult:
 
     def check_one(child: int) -> dict | None:
         rng = random.Random(child)
-        vectors = tuple(_random_rational_vec(rng) for _ in range(6))
+        vectors = tuple(_random_vertex(rng, bound=9) for _ in range(6))
         try:
             odd, even = alternating_product_identity(vectors)
         except NonGenericPolygonError as exc:
