@@ -86,13 +86,13 @@ def _seed(value: int | None) -> int:
         return 0
 
 
-def _sample_count(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    if count < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {count}")
     return count
 
 
@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quad", "pentagon", "hexagon-lift", "alt-sign"),
     )
     generate.add_argument("--seed", type=int)
-    generate.add_argument("--bound", type=int, default=9, help="coordinate bound")
+    generate.add_argument(
+        "--bound", type=functools.partial(_int_at_least, 2), default=9, help="coordinate bound"
+    )
     generate.add_argument("--out", help="write to a file instead of stdout")
     generate.set_defaults(func=_cmd_generate)
 
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", required=True, choices=tuple(SUITES) + ("all",)
     )
-    verify.add_argument("--samples", type=_sample_count, default=100)
+    verify.add_argument("--samples", type=functools.partial(_int_at_least, 1), default=100)
     verify.add_argument("--seed", type=int)
     verify.set_defaults(func=_cmd_verify)
 

@@ -343,6 +343,16 @@ class TestGenerate:
         assert code == 0
         assert fixture["seed"] == 21
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_bound_below_two_is_a_usage_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["generate", "--kind", "quad", "--bound", bound, "--seed", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 2" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_seed_env_is_read_when_the_command_runs(self, capsys, monkeypatch):
         # The parser is built once per process; the default seed must not be.
         monkeypatch.setenv("POLYDERIVE_SEED", "21")
