@@ -142,12 +142,11 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     vertices are raised to the parallel plane one unit up, and an apex is
     placed on the vertical axis. The support vectors run from the apex to
     the six points and the polygon's edges are their consecutive cross
-    products. Closure of the edges is automatic for this construction; it is
-    still verified per instance, and any non-generic outcome is resampled.
+    products. The edges close by construction, which Polygon.from_edges still
+    checks per instance; any non-generic outcome is resampled.
 
-    The family parameter alpha is read off cross(v_1, v_2): the canonical
-    support chain starts with that vector at coefficient one, so no other
-    chain vector is needed to place the lift's system in the family.
+    The family parameter alpha is read off cross(v_1, v_2) alone, because the
+    canonical support chain starts with that vector at coefficient one.
     """
     rng = random.Random(cfg.seed)
     one = Fraction(1)
@@ -165,9 +164,8 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
         edges = tuple(cross(support[i - 1], support[i]) for i in range(6))
         if not all(deltas(edges)):
             continue
-        polygon = Polygon.from_edges(edges)  # raises if the edges fail to close
         alpha = _family_parameter(cross(edges[0], edges[1]), support[0])
-        return polygon, SupportSystem(support, alpha, "even")
+        return Polygon.from_edges(edges), SupportSystem(support, alpha, "even")
     raise _budget_error("a lifted regular hexagon", cfg)
 
 
