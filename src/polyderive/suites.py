@@ -187,9 +187,9 @@ def _suite_hexagon_types(samples: int, seed: int) -> SuiteResult:
         polygon, _system = regular_hexagon_via_lift(cfg)
         edges = edge_vectors(polygon)
         payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
-        values = deltas(edges)
-        verdict = check_regularity(values)
-        basis = support_basis(edges, values)
+        input_values = deltas(edges)
+        verdict = check_regularity(input_values)
+        basis = support_basis(edges, input_values)
         types = []
         for alpha in SCALE_FACTORS:
             derived = derive(support_system(basis, verdict, alpha))
