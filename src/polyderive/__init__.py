@@ -35,20 +35,15 @@ from .generators import (
 )
 from .oracle import (
     FloatValidation,
-    SupportMatrix,
     alternating_product_identity,
-    build_support_matrix,
     derived_relation_defects,
     float_cross_validate,
     row_sum_defect,
-    submatrix_delta,
 )
 from .polygon import (
     GenericityReport,
     NonGenericPolygonError,
     Polygon,
-    SignPattern,
-    delta_sign_pattern,
     deltas,
     derivability_defect,
     edge_vectors,
@@ -65,7 +60,6 @@ from .regularity import (
     build_support_system,
     canonical_alpha,
     check_regularity,
-    closure_defect,
     nested_cross_identity,
     support_basis,
     support_system,
@@ -101,22 +95,17 @@ __all__ = [
     "RegularityVerdict",
     "Scalar",
     "SecondDerivativeResult",
-    "SignPattern",
     "SupportBasis",
     "SupportCheck",
-    "SupportMatrix",
     "SupportSystem",
     "Vec3",
     "alternating_product_identity",
     "alternating_sign_hexagon",
     "area_vector",
-    "build_support_matrix",
     "build_support_system",
     "canonical_alpha",
     "check_regularity",
-    "closure_defect",
     "cross",
-    "delta_sign_pattern",
     "deltas",
     "derivability_defect",
     "derive",
@@ -143,7 +132,6 @@ __all__ = [
     "scalar_sign",
     "second_derivative_type",
     "strongly_regular_check",
-    "submatrix_delta",
     "support_basis",
     "support_system",
     "two_plane_decomposition",

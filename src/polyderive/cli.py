@@ -13,12 +13,20 @@ import json
 import os
 import sys
 
-from .generators import GenConfig, GenerationBudgetError
+from .generators import (
+    GenConfig,
+    GenerationBudgetError,
+    alternating_sign_hexagon,
+    random_generic_polygon,
+    random_regular_pentagon,
+    regular_hexagon_via_lift,
+)
 from .oracle import float_cross_validate
 from .polygon import NonGenericPolygonError
 from .regularity import IrregularPolygonError
 from .reports import (
     PolygonFormatError,
+    _support_json,
     analyze_report,
     check_report,
     derive_report,
@@ -143,15 +151,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .generators import (
-        alternating_sign_hexagon,
-        random_generic_polygon,
-        random_regular_pentagon,
-        regular_hexagon_via_lift,
-    )
-    from .reports import vec3_to_json
-    from .scalars import format_scalar
-
     cfg = GenConfig(seed=_seed(args.seed), coordinate_bound=args.bound)
     fixture: dict = {
         "kind": args.kind,
@@ -165,11 +164,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif args.kind == "hexagon-lift":
         polygon, system = regular_hexagon_via_lift(cfg)
         fixture.update(polygon_to_json(polygon))
-        fixture["support_system"] = {
-            "parity": system.parity,
-            "alpha": format_scalar(system.alpha),
-            "vectors": [vec3_to_json(vector) for vector in system.vectors],
-        }
+        fixture["support_system"] = _support_json(system)
     elif args.kind == "alt-sign":
         fixture.update(polygon_to_json(alternating_sign_hexagon(cfg)))
     else:  # pragma: no cover - argparse restricts choices

@@ -21,17 +21,6 @@ from .scalars import Scalar
 from .vectors import ZERO_VEC, Vec3, cross, mixed
 
 
-@dataclass(frozen=True)
-class SupportMatrix:
-    """Rows are the consecutive cross products cross(u_{i-1}, u_i), cyclically.
-
-    When the six vectors support a closed hexagon the rows are exactly its
-    edge vectors, and they sum to zero.
-    """
-
-    rows: tuple[Vec3, Vec3, Vec3, Vec3, Vec3, Vec3]
-
-
 class OpenSupportError(ValueError):
     """The six vectors do not support a closed hexagon: their row sum is not zero."""
 
@@ -43,22 +32,14 @@ def _six(vectors: Sequence[Vec3]) -> tuple[Vec3, ...]:
     return chain
 
 
-def build_support_matrix(vectors: Sequence[Vec3]) -> SupportMatrix:
-    """Matrix of consecutive cross products; no closure is required."""
-    chain = _six(vectors)
-    return SupportMatrix(tuple(cross(chain[i - 1], chain[i]) for i in range(6)))
+def _rows(vectors: Sequence[Vec3]) -> tuple[Vec3, ...]:
+    """The consecutive cross products cross(u_{i-1}, u_i) of six vectors, cyclically.
 
-
-def submatrix_delta(matrix: SupportMatrix, i: int, j: int, k: int) -> Scalar:
-    """Determinant of rows i, j, k (1-based, strictly increasing).
-
-    Consecutive row triples reproduce the cyclic corner determinants of the
-    row list read as edges.
+    When the vectors support a closed hexagon the rows are exactly its edge
+    vectors, and they sum to zero.
     """
-    if not (1 <= i < j < k <= 6):
-        raise ValueError(f"row indices must satisfy 1 <= i < j < k <= 6, got {(i, j, k)}")
-    rows = matrix.rows
-    return mixed(rows[i - 1], rows[j - 1], rows[k - 1])
+    chain = _six(vectors)
+    return tuple(cross(chain[i - 1], chain[i]) for i in range(6))
 
 
 def alternating_product_identity(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
@@ -68,8 +49,7 @@ def alternating_product_identity(vectors: Sequence[Vec3]) -> tuple[Scalar, Scala
     both are returned so callers can assert the identity on random samples.
     A zero determinant means the sample was degenerate and should be redrawn.
     """
-    rows = build_support_matrix(vectors).rows
-    values = deltas(rows)
+    values = deltas(_rows(vectors))
     for position, value in enumerate(values):
         if not value:
             raise NonGenericPolygonError(
@@ -83,7 +63,7 @@ def alternating_product_identity(vectors: Sequence[Vec3]) -> tuple[Scalar, Scala
 def row_sum_defect(vectors: Sequence[Vec3]) -> Vec3:
     """Sum of the cross-product rows; zero iff the vectors support a closed hexagon."""
     total = ZERO_VEC
-    for row in build_support_matrix(vectors).rows:
+    for row in _rows(vectors):
         total = total + row
     return total
 

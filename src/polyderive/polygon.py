@@ -8,11 +8,10 @@ assumes genericity, so violations are reported with the offending index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import Scalar, scalar_sign
+from .scalars import Scalar
 from .vectors import ZERO_VEC, Vec3, area_vector, cross, mixed
 
 
@@ -36,8 +35,8 @@ class Polygon:
         return len(self.vertices)
 
     @classmethod
-    def from_edges(cls, edges: Sequence[Vec3], origin: Vec3 = ZERO_VEC) -> Polygon:
-        """Rebuild vertices from edge vectors; the edges must sum to zero."""
+    def from_edges(cls, edges: Sequence[Vec3]) -> Polygon:
+        """Rebuild vertices from the origin along edge vectors that sum to zero."""
         chain = tuple(edges)
         if len(chain) < 3:
             raise ValueError("a polygon needs at least three edges")
@@ -46,7 +45,7 @@ class Polygon:
             total = total + edge
         if not total.is_zero():
             raise ValueError(f"edge vectors do not close up, residue {total}")
-        points = [origin]
+        points = [ZERO_VEC]
         for edge in chain[:-1]:
             points.append(points[-1] + edge)
         return cls(tuple(points))
@@ -117,36 +116,6 @@ def mirror(polygon: Polygon) -> Polygon:
     return Polygon(tuple(Vec3(v.x, v.y, -v.z) for v in polygon.vertices))
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Signs of the corner determinants plus their alternating-product signs."""
-
-    signs: tuple[int, ...]
-    parity: str
-    odd_product_sign: int | None = None
-    even_product_sign: int | None = None
-    total_product_sign: int | None = None
-
-
-def delta_sign_pattern(delta_values: Sequence[Scalar]) -> SignPattern:
-    """Sign list, plus alternating product signs (even n) or total sign (odd n)."""
-    signs = []
-    for i, value in enumerate(delta_values):
-        sign = scalar_sign(value)
-        if sign == 0:
-            raise NonGenericPolygonError(f"corner determinant {i + 1} is zero")
-        signs.append(sign)
-    signs = tuple(signs)
-    if len(signs) % 2 == 0:
-        return SignPattern(
-            signs,
-            "even",
-            odd_product_sign=math.prod(signs[0::2]),
-            even_product_sign=math.prod(signs[1::2]),
-        )
-    return SignPattern(signs, "odd", total_product_sign=math.prod(signs))
-
-
 def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
     """Obstruction for a closed edge list to be the derivative of some polygon.
 
@@ -157,10 +126,10 @@ def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
     does not depend on which edge is labeled last, although the pair formula
     appears to single it out.
     """
-    chain = tuple(edges)
-    total = ZERO_VEC
-    for edge in chain:
-        total = total + edge
-    if not total.is_zero():
-        raise ValueError("derivability defect is defined for closed edge lists only")
-    return area_vector(Polygon.from_edges(chain).vertices)
+    try:
+        polygon = Polygon.from_edges(edges)
+    except ValueError as exc:
+        raise ValueError(
+            f"derivability defect is defined for closed edge lists only: {exc}"
+        ) from exc
+    return area_vector(polygon.vertices)

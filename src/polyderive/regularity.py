@@ -141,12 +141,6 @@ def support_basis(
     return SupportBasis(vectors, tuple(coefficients))
 
 
-def closure_defect(basis: SupportBasis, edges: Sequence[Vec3]) -> Vec3:
-    """cross(u_n, u_1) - v_1: zero exactly when the unscaled chain closes."""
-    chain = tuple(edges)
-    return cross(basis.vectors[-1], basis.vectors[0]) - chain[0]
-
-
 @dataclass(frozen=True)
 class SupportSystem:
     """Support vectors ``scale * unscaled[k]`` satisfying all n cyclic conditions.

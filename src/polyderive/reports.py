@@ -30,7 +30,6 @@ from .polygon import (
 from .regularity import (
     IrregularPolygonError,
     RegularityVerdict,
-    SupportBasis,
     SupportSystem,
     canonical_alpha,
     check_regularity,
@@ -94,14 +93,24 @@ def polygon_from_json(payload: object) -> Polygon:
     raise PolygonFormatError("polygon payload needs a 'vertices' or 'edges' key")
 
 
-def _input_summary(polygon: Polygon, source: str | None) -> dict:
+def _head(
+    command: str, polygon: Polygon, source: str | None
+) -> tuple[dict, tuple[Vec3, ...], tuple[Scalar, ...]]:
+    """A report's command, input summary and genericity, plus the edges and determinants."""
+    edges = edge_vectors(polygon)
+    values = deltas(edges)
     summary = {
         "n": polygon.n,
         "vertices": [vec3_to_json(vertex) for vertex in polygon.vertices],
     }
     if source is not None:
         summary["source"] = source
-    return summary
+    report = {
+        "command": command,
+        "input_summary": summary,
+        "genericity": _genericity_json(edges, values),
+    }
+    return report, edges, values
 
 
 def _genericity_json(edges: Sequence[Vec3], values: Sequence[Scalar]) -> dict:
@@ -126,19 +135,13 @@ def _verdict_json(verdict: RegularityVerdict) -> dict:
 
 
 def _checked(
-    polygon: Polygon, source: str | None
+    command: str, polygon: Polygon, source: str | None
 ) -> tuple[dict, tuple[Vec3, ...], tuple[Scalar, ...], RegularityVerdict | None]:
-    """The check report plus the edges, determinants and verdict behind it.
+    """A check report under ``command``, plus the edges, determinants and verdict behind it.
 
     The verdict is None when the polygon is not generic.
     """
-    edges = edge_vectors(polygon)
-    values = deltas(edges)
-    report = {
-        "command": "check",
-        "input_summary": _input_summary(polygon, source),
-        "genericity": _genericity_json(edges, values),
-    }
+    report, edges, values = _head(command, polygon, source)
     verdict = None
     if report["genericity"]["ok"]:
         verdict = check_regularity(values)
@@ -149,17 +152,15 @@ def _checked(
 
 def check_report(polygon: Polygon, source: str | None = None) -> dict:
     """Genericity, corner determinants, and the regularity verdict."""
-    return _checked(polygon, source)[0]
+    return _checked("check", polygon, source)[0]
 
 
-def _system_json(system: SupportSystem, basis: SupportBasis, verified: bool) -> dict:
+def _support_json(system: SupportSystem) -> dict:
+    """Parity, scale and vectors of a support system."""
     return {
         "parity": system.parity,
         "alpha": format_scalar(system.alpha),
         "vectors": [vec3_to_json(vector) for vector in system.vectors],
-        "basis_vectors": [vec3_to_json(vector) for vector in basis.vectors],
-        "basis_coefficients": [format_scalar(c) for c in basis.coefficients],
-        "verified": verified,
     }
 
 
@@ -178,49 +179,49 @@ def _two_plane_json(polygon: DerivedPolygon) -> dict:
     }
 
 
-def _hexagon_blocks(block: dict, values: Sequence[Scalar], polygon: DerivedPolygon) -> None:
-    """Fill the hexagon-only fields of an analysis block in place."""
+def _type_fields(block: dict, values: Sequence[Scalar], prefix: str = "") -> None:
+    """Write ``strongly_regular`` and, for a half-turn-symmetric hexagon, ``hex_type``."""
     symmetric = strongly_regular_check(values)
-    block["strongly_regular"] = symmetric
+    block[prefix + "strongly_regular"] = symmetric
     if symmetric:
-        block["hex_type"] = [format_scalar(part) for part in _hex_type(values).ratio]
-    block["two_plane"] = _two_plane_json(polygon)
+        block[prefix + "hex_type"] = [format_scalar(part) for part in _hex_type(values).ratio]
 
 
-def _analysis_block(derived: DerivedPolygon) -> dict:
-    """Analysis of ``scale * unscaled``, run on the unscaled points.
+def _analysis(
+    block: dict,
+    polygon: DerivedPolygon,
+    values: Sequence[Scalar],
+    deltas_key: str,
+    generic_key: str | None = None,
+) -> dict:
+    """Add the analysis of ``scale * unscaled`` to ``block``, run on the unscaled points.
 
-    Vertices and edges are written with the factor ``scale``, the area
-    vector with ``scale**2`` and the determinants with ``scale**3``; zero
-    patterns, planarity and the hexagon and quadrangle tests do not change
-    under a nonzero scale.
+    ``values`` are the determinants of the unscaled edges. The area vector is
+    written with the factor ``scale**2`` and the determinants, under
+    ``deltas_key``, with ``scale**3``; vertices and edges, written with
+    ``scale``, are the caller's. Zero patterns, planarity and the hexagon and
+    quadrangle tests do not change under a nonzero scale.
     """
-    points = derived.unscaled
-    edges = derived.unscaled_edges
-    scale = derived.scale
-    planarity = is_planar(derived)
+    points = polygon.unscaled
+    planarity = is_planar(polygon)
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
-    area = vec3_to_json(scaled([area_vector(points)], scale, 2)[0])
-    block: dict = {
-        "vertices": [vec3_to_json(vertex) for vertex in derived.vertices],
-        "edges": [vec3_to_json(edge) for edge in scaled(edges, scale)],
-        "planarity": {"planar": planarity.planar, "witness": planarity.witness},
-        "area_vector": area,
-        "derivability_defect": list(area),
-    }
-    values = deltas(edges)
+    area = vec3_to_json(scaled([area_vector(points)], polygon.scale, 2)[0])
+    block["planarity"] = {"planar": planarity.planar, "witness": planarity.witness}
+    block["area_vector"] = area
+    block["derivability_defect"] = list(area)
     generic = all(values)
-    block["derived_generic"] = generic
-    if generic:
-        cube = power_scaler(scale, 3)
-        block["derived_deltas"] = [format_scalar(cube(value)) for value in values]
-    else:
-        block["derived_deltas"] = None
-    if derived.n == 4 and planarity.planar:
+    if generic_key is not None:
+        block[generic_key] = generic
+    cube = power_scaler(polygon.scale, 3)
+    block[deltas_key] = [format_scalar(cube(value)) for value in values] if generic else None
+    if polygon.n == 3:
+        block["note"] = "triangles are trivially planar and never generic"
+    if polygon.n == 4 and planarity.planar:
         block["self_intersecting"] = _self_intersecting(points)
-    if derived.n == 6 and generic:
-        _hexagon_blocks(block, values, derived)
+    if polygon.n == 6 and generic:
+        _type_fields(block, values)
+        block["two_plane"] = _two_plane_json(polygon)
     return block
 
 
@@ -235,8 +236,7 @@ def derive_report(
     Raises NonGenericPolygonError or IrregularPolygonError when the polygon
     has no support system; the CLI turns those into failure reports.
     """
-    report, edges, values, verdict = _checked(polygon, source)
-    report["command"] = "derive"
+    report, edges, values, verdict = _checked("derive", polygon, source)
     if verdict is None:
         info = report["genericity"]
         raise NonGenericPolygonError(
@@ -261,44 +261,31 @@ def derive_report(
             f"support system failed verification at condition {checked.failed_index}; "
             "this is a bug"
         )
-    report["support_system"] = _system_json(system, basis, checked.ok)
+    report["support_system"] = {
+        **_support_json(system),
+        "basis_vectors": [vec3_to_json(vector) for vector in basis.vectors],
+        "basis_coefficients": [format_scalar(c) for c in basis.coefficients],
+        "verified": checked.ok,
+    }
     derived = derive(system)
-    block = _analysis_block(derived)
+    derived_edges = derived.unscaled_edges
+    block = {
+        "vertices": [vec3_to_json(vertex) for vertex in derived.vertices],
+        "edges": [vec3_to_json(edge) for edge in scaled(derived_edges, derived.scale)],
+    }
+    _analysis(block, derived, deltas(derived_edges), "derived_deltas", "derived_generic")
     if polygon.n == 6 and block.get("strongly_regular"):
-        input_symmetric = strongly_regular_check(values)
-        block["input_strongly_regular"] = input_symmetric
-        if input_symmetric:
-            input_type = [format_scalar(part) for part in _hex_type(values).ratio]
-            block["input_hex_type"] = input_type
-            block["type_matches_input"] = input_type == block["hex_type"]
+        _type_fields(block, values, "input_")
+        if block["input_strongly_regular"]:
+            block["type_matches_input"] = block["input_hex_type"] == block["hex_type"]
     report["derived_analysis"] = block
     return report
 
 
 def analyze_report(polygon: Polygon, source: str | None = None) -> dict:
     """Structural analysis of a polygon read as a candidate derived polygon."""
-    edges = edge_vectors(polygon)
-    values = deltas(edges)
-    candidate = DerivedPolygon(polygon.vertices)
-    planarity = is_planar(candidate)
-    area = vec3_to_json(area_vector(polygon.vertices))
-    report: dict = {
-        "command": "analyze",
-        "input_summary": _input_summary(polygon, source),
-        "genericity": _genericity_json(edges, values),
-        "planarity": {"planar": planarity.planar, "witness": planarity.witness},
-        "area_vector": area,
-        "derivability_defect": list(area),
-    }
-    generic = report["genericity"]["ok"]
-    report["deltas"] = [format_scalar(value) for value in values] if generic else None
-    if polygon.n == 3:
-        report["note"] = "triangles are trivially planar and never generic"
-    if polygon.n == 4 and planarity.planar:
-        report["self_intersecting"] = _self_intersecting(candidate.vertices)
-    if polygon.n == 6 and generic:
-        _hexagon_blocks(report, values, candidate)
-    return report
+    report, _edges, values = _head("analyze", polygon, source)
+    return _analysis(report, DerivedPolygon(polygon.vertices), values, "deltas")
 
 
 def plot_lines(payload: dict) -> str:

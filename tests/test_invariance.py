@@ -6,7 +6,8 @@ identical. Cyclic relabelling rotates the determinants: the regular flag and
 the parity stay, while the alternating products may trade places. The type of
 a derived hexagon does not depend on the scale factor, so it survives all
 three. The library path (``build_support_system`` then ``derive``) and
-``derive_report`` must also give the same derived determinants.
+``derive_report`` must also give the same derived determinants, and
+``analyze`` must read a derived polygon of even n as ``derive`` does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from polyderive import (
     regular_hexagon_via_lift,
 )
 from polyderive.derived import DegenerateQuadrangleError
-from polyderive.reports import derive_report
+from polyderive.reports import analyze_report, derive_report, polygon_from_json
 from polyderive.scalars import format_scalar
 
 # The signed permutation matrices with determinant +1, as row triples.
@@ -149,3 +150,36 @@ class TestLibraryMatchesReport:
         assert block["derived_generic"] == all(values)
         if block["derived_generic"]:
             assert block["derived_deltas"] == [format_scalar(value) for value in values]
+
+
+# Fields the two reports share; analyze writes "deltas" where derive writes
+# "derived_deltas".
+SHARED_FIELDS = (
+    "planarity",
+    "area_vector",
+    "derivability_defect",
+    "self_intersecting",
+    "strongly_regular",
+    "hex_type",
+    "two_plane",
+)
+
+
+class TestAnalyzeMatchesDerive:
+    @SETTINGS
+    @given(
+        st.sampled_from([quadrangle, lifted_hexagon]),
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([Fraction(1), ALPHA]),
+    )
+    def test_analysis_of_the_derived_vertices(self, kind, seed, alpha):
+        # For even n the scale is one, so the derived vertices are rational.
+        try:
+            block = derive_report(kind(seed), alpha=alpha)["derived_analysis"]
+            report = analyze_report(polygon_from_json({"vertices": block["vertices"]}))
+        except DegenerateQuadrangleError:
+            assume(False)  # a collinear derived quadrangle has no crossing test
+        assert report["genericity"]["ok"] == block["derived_generic"]
+        assert report["deltas"] == block["derived_deltas"]
+        for field in SHARED_FIELDS:
+            assert report.get(field) == block.get(field), field

@@ -18,14 +18,15 @@ from polyderive import (
     Polygon,
     Vec3,
     alternating_product_identity,
-    build_support_matrix,
+    cross,
+    deltas,
     derived_relation_defects,
     float_cross_validate,
+    mixed,
     random_generic_polygon,
     random_regular_pentagon,
     regular_hexagon_via_lift,
     row_sum_defect,
-    submatrix_delta,
 )
 from polyderive.reports import analyze_report, check_report, derive_report, polygon_from_json
 
@@ -80,6 +81,12 @@ def generated_polygon(kind: str, seed: int) -> Polygon:
 
 BASIS_REPEATED = vecs((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+# The support matrix of the regular hexagon: its rows are cross(u_{i-1}, u_i).
+SUPPORT_ROWS = tuple(
+    cross(golden.REGULAR_HEXAGON_SUPPORT[i - 1], golden.REGULAR_HEXAGON_SUPPORT[i])
+    for i in range(6)
+)
+
 
 def random_six(rng: random.Random) -> tuple:
     def coord() -> Fraction:
@@ -90,40 +97,26 @@ def random_six(rng: random.Random) -> tuple:
 
 class TestSupportMatrix:
     def test_rows_of_repeated_basis(self):
-        matrix = build_support_matrix(BASIS_REPEATED)
-        assert matrix.rows == vecs(
-            (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0)
-        )
+        # The rows are e2, e3, e1, e2, e3, e1, so they sum to (2, 2, 2).
+        assert row_sum_defect(BASIS_REPEATED) == Vec3.of(2, 2, 2)
 
     def test_rows_of_golden_support_are_the_edges(self):
-        matrix = build_support_matrix(golden.REGULAR_HEXAGON_SUPPORT)
-        assert matrix.rows == golden.REGULAR_HEXAGON_EDGES
-
-    def test_equal_consecutive_vectors_give_a_zero_row(self):
-        vectors = list(BASIS_REPEATED)
-        vectors[1] = vectors[0]
-        matrix = build_support_matrix(vectors)
-        assert matrix.rows[1].is_zero()
+        assert SUPPORT_ROWS == golden.REGULAR_HEXAGON_EDGES
 
     def test_needs_exactly_six(self):
-        with pytest.raises(ValueError, match="six"):
-            build_support_matrix(BASIS_REPEATED[:5])
+        for identity in (alternating_product_identity, row_sum_defect):
+            with pytest.raises(ValueError, match="six"):
+                identity(BASIS_REPEATED[:5])
 
 
 class TestSubmatrixDelta:
+    """Consecutive row triples give the corner determinants of the rows read as edges."""
+
     def test_first_consecutive_triple(self):
-        matrix = build_support_matrix(golden.REGULAR_HEXAGON_SUPPORT)
-        assert submatrix_delta(matrix, 1, 2, 3) == Fraction(1)
+        assert deltas(SUPPORT_ROWS)[0] == mixed(*SUPPORT_ROWS[0:3]) == 1
 
     def test_last_consecutive_triple(self):
-        matrix = build_support_matrix(golden.REGULAR_HEXAGON_SUPPORT)
-        assert submatrix_delta(matrix, 4, 5, 6) == Fraction(15)
-
-    def test_index_validation(self):
-        matrix = build_support_matrix(BASIS_REPEATED)
-        for bad in [(0, 1, 2), (1, 1, 2), (2, 1, 3), (4, 5, 7)]:
-            with pytest.raises(ValueError):
-                submatrix_delta(matrix, *bad)
+        assert deltas(SUPPORT_ROWS)[3] == mixed(*SUPPORT_ROWS[3:6]) == 15
 
 
 class TestAlternatingProductIdentity:

@@ -8,20 +8,21 @@ from fractions import Fraction
 import pytest
 
 import golden
-from golden import det3, vecs
+from golden import det3, fracs, vecs
 from polyderive import (
     NonGenericPolygonError,
     Polygon,
     Vec3,
     area_vector,
+    check_regularity,
     cross,
-    delta_sign_pattern,
     deltas,
     derivability_defect,
     edge_vectors,
     ensure_generic,
     is_generic,
     mirror,
+    scalar_sign,
 )
 
 UNIT_SQUARE = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
@@ -141,25 +142,23 @@ class TestMirror:
 
 
 class TestSignPattern:
+    """Signs of the alternating determinant products, read off the verdict."""
+
     def test_alternating_pattern_blocks_regularity(self):
-        pattern = delta_sign_pattern((1, -2, 3, -4, 5, -6))
-        assert pattern.signs == (1, -1, 1, -1, 1, -1)
-        assert pattern.odd_product_sign == 1
-        assert pattern.even_product_sign == -1
+        verdict = check_regularity(fracs(1, -2, 3, -4, 5, -6))
+        assert scalar_sign(verdict.odd_product) == 1
+        assert scalar_sign(verdict.even_product) == -1
+        assert not verdict.regular
 
     def test_pentagon_total_product_is_positive(self):
-        pattern = delta_sign_pattern(golden.PENTAGON_DELTAS)
-        assert pattern.parity == "odd"
-        assert pattern.total_product_sign == 1
+        verdict = check_regularity(golden.PENTAGON_DELTAS)
+        assert verdict.parity == "odd"
+        assert scalar_sign(verdict.evidence) == 1
 
     def test_all_positive_hexagon(self):
-        pattern = delta_sign_pattern((1, 2, 3, 4, 5, 6))
-        assert pattern.odd_product_sign == 1
-        assert pattern.even_product_sign == 1
-
-    def test_zero_delta_is_non_generic(self):
-        with pytest.raises(NonGenericPolygonError):
-            delta_sign_pattern((1, 0, 3))
+        verdict = check_regularity(fracs(1, 2, 3, 4, 5, 6))
+        assert scalar_sign(verdict.odd_product) == 1
+        assert scalar_sign(verdict.even_product) == 1
 
 
 class TestDerivabilityDefect:
@@ -182,6 +181,19 @@ class TestDerivabilityDefect:
     def test_requires_closed_edges(self):
         with pytest.raises(ValueError, match="closed"):
             derivability_defect(vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_sums_the_edges_once(self, monkeypatch):
+        # One closure sum (6), the vertex chain (5) and the area vector (6).
+        calls = []
+        add = Vec3.__add__
+
+        def counted(a, b):
+            calls.append(None)
+            return add(a, b)
+
+        monkeypatch.setattr(Vec3, "__add__", counted)
+        derivability_defect(golden.STRONGLY_REGULAR_HEXAGON_EDGES)
+        assert len(calls) == 17
 
     def test_matches_anchored_area_vector(self):
         # Independent oracle: the defining sum of cross(v_i, v_j) over pairs

@@ -22,7 +22,6 @@ from polyderive import (
     build_support_system,
     canonical_alpha,
     check_regularity,
-    closure_defect,
     cross,
     deltas,
     edge_vectors,
@@ -106,19 +105,24 @@ class TestSupportBasis:
 
 
 class TestClosureDefect:
+    """cross(u_n, u_1) - v_1 of the unscaled chain: zero exactly when it closes."""
+
     def test_quadrangle_chain_already_closes(self):
         edges = golden.QUADRANGLE_EDGES
-        assert closure_defect(support_basis(edges), edges).is_zero()
+        chain = support_basis(edges).vectors
+        assert (cross(chain[-1], chain[0]) - edges[0]).is_zero()
 
     def test_pentagon_defect(self):
         edges = golden.PENTAGON_EDGES
-        assert closure_defect(support_basis(edges), edges) == Vec3.of("3/5", 0, 0)
+        chain = support_basis(edges).vectors
+        assert cross(chain[-1], chain[0]) - edges[0] == Vec3.of("3/5", 0, 0)
 
     def test_lifted_hexagons_close(self):
         for seed in range(5):
             polygon, _system = regular_hexagon_via_lift(GenConfig(seed=seed))
             edges = edge_vectors(polygon)
-            assert closure_defect(support_basis(edges), edges).is_zero()
+            chain = support_basis(edges).vectors
+            assert (cross(chain[-1], chain[0]) - edges[0]).is_zero()
 
 
 class TestSupportSystem:
