@@ -31,7 +31,6 @@ from .generators import (
     random_generic_polygon,
     random_regular_pentagon,
     regular_hexagon_via_lift,
-    zero_area_planar_hexagon,
 )
 from .oracle import (
     FloatValidation,
@@ -58,7 +57,6 @@ from .regularity import (
     SupportCheck,
     SupportSystem,
     build_support_system,
-    canonical_alpha,
     check_regularity,
     nested_cross_identity,
     support_basis,
@@ -103,7 +101,6 @@ __all__ = [
     "alternating_sign_hexagon",
     "area_vector",
     "build_support_system",
-    "canonical_alpha",
     "check_regularity",
     "cross",
     "deltas",
@@ -136,5 +133,4 @@ __all__ = [
     "support_system",
     "two_plane_decomposition",
     "verify_support",
-    "zero_area_planar_hexagon",
 ]

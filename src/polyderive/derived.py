@@ -54,6 +54,8 @@ class DerivedPolygon:
         object.__setattr__(self, "unscaled", tuple(self.unscaled))
         if len(self.unscaled) < 3:
             raise ValueError("a derived polygon needs at least three vertices")
+        if len(self.unscaled) % 2 == 0 and self.scale != 1:
+            raise ValueError("an even derived polygon has scale one")
 
     @property
     def n(self) -> int:
@@ -180,9 +182,10 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
 
     For the derivative of a regular hexagon the even vertices share one
     parallel plane and the projected hexagon has zero oriented area; both
-    facts are returned as data rather than asserted.
+    facts are returned as data rather than asserted. A derived hexagon has
+    scale one, so it is split on its unscaled points.
     """
-    points = polygon.vertices
+    points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) != 6:
         raise ValueError("the two-plane decomposition applies to hexagons only")
     anchor = points[0]

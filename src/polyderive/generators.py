@@ -19,6 +19,9 @@ from .regularity import SupportSystem
 from .scalars import Scalar, scalar_sign
 from .vectors import Vec3, cross
 
+# Draws a generator makes before it raises GenerationBudgetError.
+MAX_REJECTIONS = 20000
+
 
 class GenerationBudgetError(RuntimeError):
     """Rejection sampling ran out of attempts."""
@@ -30,19 +33,16 @@ class GenConfig:
 
     seed: int
     coordinate_bound: int = 9
-    max_rejections: int = 20000
 
     def __post_init__(self) -> None:
         if self.coordinate_bound < 2:
             raise ValueError("coordinate_bound must be at least 2")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be at least 1")
 
 
-def _budget_error(what: str, cfg: GenConfig) -> GenerationBudgetError:
+def _budget_error(what: str) -> GenerationBudgetError:
     return GenerationBudgetError(
-        f"could not generate {what} within {cfg.max_rejections} attempts; "
-        "try a larger coordinate_bound or max_rejections"
+        f"could not generate {what} within {MAX_REJECTIONS} attempts; "
+        "try a larger coordinate_bound"
     )
 
 
@@ -65,7 +65,7 @@ def _random_vertex(rng: random.Random, bound: int) -> Vec3:
 def _generic_draws(n: int, cfg: GenConfig) -> Iterator[tuple[Polygon, tuple[Scalar, ...]]]:
     """The generic ones among random n-gon draws, with their corner determinants."""
     rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_rejections):
+    for _ in range(MAX_REJECTIONS):
         polygon = Polygon(tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(n)))
         values = deltas(edge_vectors(polygon))
         if all(values):
@@ -82,7 +82,7 @@ def random_generic_polygon(n: int, cfg: GenConfig) -> Polygon:
         raise ValueError("generic polygons need at least four vertices")
     for polygon, _values in _generic_draws(n, cfg):
         return polygon
-    raise _budget_error(f"a generic {n}-gon", cfg)
+    raise _budget_error(f"a generic {n}-gon")
 
 
 def random_regular_pentagon(cfg: GenConfig) -> Polygon:
@@ -96,7 +96,7 @@ def random_regular_pentagon(cfg: GenConfig) -> Polygon:
         if scalar_sign(math.prod(values, start=Fraction(1))) < 0:
             return mirror(polygon)
         return polygon
-    raise _budget_error("a regular pentagon", cfg)
+    raise _budget_error("a regular pentagon")
 
 
 def _zero_area_points(rng: random.Random, bound: int) -> tuple[Vec3, ...] | None:
@@ -125,16 +125,6 @@ def _zero_area_points(rng: random.Random, bound: int) -> tuple[Vec3, ...] | None
     return tuple(Vec3(x, y, zero) for x, y in points)
 
 
-def zero_area_planar_hexagon(cfg: GenConfig) -> tuple[Vec3, ...]:
-    """Six points in the base plane whose oriented area is exactly zero."""
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_rejections):
-        points = _zero_area_points(rng, cfg.coordinate_bound)
-        if points is not None:
-            return points
-    raise _budget_error("a zero-area planar hexagon", cfg)
-
-
 def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     """Regular hexagon built by the two-plane lift construction.
 
@@ -150,7 +140,7 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     """
     rng = random.Random(cfg.seed)
     one = Fraction(1)
-    for _ in range(cfg.max_rejections):
+    for _ in range(MAX_REJECTIONS):
         points = _zero_area_points(rng, cfg.coordinate_bound)
         if points is None:
             continue
@@ -165,8 +155,8 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
         if not all(deltas(edges)):
             continue
         alpha = _family_parameter(cross(edges[0], edges[1]), support[0])
-        return Polygon.from_edges(edges), SupportSystem(support, alpha, "even")
-    raise _budget_error("a lifted regular hexagon", cfg)
+        return Polygon.from_edges(edges), SupportSystem(support, alpha)
+    raise _budget_error("a lifted regular hexagon")
 
 
 def _family_parameter(chain_start: Vec3, system_start: Vec3) -> Fraction:
@@ -188,4 +178,4 @@ def alternating_sign_hexagon(cfg: GenConfig) -> Polygon:
     for polygon, values in _generic_draws(6, cfg):
         if tuple(scalar_sign(value) for value in values) == target:
             return polygon
-    raise _budget_error("an alternating-sign hexagon", cfg)
+    raise _budget_error("an alternating-sign hexagon")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import Scalar
+from .scalars import Scalar, format_scalar
 from .vectors import ZERO_VEC, Vec3, area_vector, cross, mixed
 
 
@@ -44,7 +44,8 @@ class Polygon:
         for edge in chain:
             total = total + edge
         if not total.is_zero():
-            raise ValueError(f"edge vectors do not close up, residue {total}")
+            residue = ", ".join(str(format_scalar(part)) for part in total)
+            raise ValueError(f"edge vectors do not close up, residue ({residue})")
         points = [ZERO_VEC]
         for edge in chain[:-1]:
             points.append(points[-1] + edge)

@@ -155,68 +155,68 @@ class SupportSystem:
 
     unscaled: tuple[Vec3, ...]
     alpha: Scalar
-    parity: str
+
+    @property
+    def n(self) -> int:
+        return len(self.unscaled)
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.n % 2 else "even"
 
     @property
     def scale(self) -> Scalar:
-        return self.alpha if self.parity == "odd" else _ONE
+        return self.alpha if self.n % 2 else _ONE
 
     @cached_property
     def vectors(self) -> tuple[Vec3, ...]:
         """The support vectors themselves, ``scale * unscaled``."""
         return scaled(self.unscaled, self.scale)
 
-    @property
-    def n(self) -> int:
-        return len(self.unscaled)
-
-
-def canonical_alpha(verdict: RegularityVerdict, negative_root: bool = False) -> QuadExt:
-    """Scale factor for a regular odd polygon: the square root of alpha_squared.
-
-    The positive root is the canonical pick; the sign flag yields its twin.
-    """
-    if verdict.parity != "odd":
-        raise ValueError("canonical scale roots apply to odd polygons only")
-    if not verdict.regular or verdict.alpha_squared is None:
-        raise IrregularPolygonError(verdict)
-    return QuadExt(0, -1 if negative_root else 1, verdict.alpha_squared)
-
 
 def support_system(
-    basis: SupportBasis, verdict: RegularityVerdict, alpha: Scalar | int
+    basis: SupportBasis,
+    verdict: RegularityVerdict,
+    alpha: Scalar | int | None = None,
+    negative_root: bool = False,
 ) -> SupportSystem:
-    """Scale the chain into a closed support system.
+    """Pick the scale factor and scale the chain into a closed support system.
 
     Even-position vectors are multiplied by alpha, odd-position vectors by
-    its inverse (positions 1-based). For even n any nonzero rational alpha
-    works; for odd n alpha must square exactly to the verdict's
-    alpha_squared, so it is usually an extension-field root and rational only
-    when alpha_squared happens to be a perfect square. Odd systems keep alpha
-    as their scale and divide the odd positions by alpha_squared instead.
+    its inverse (positions 1-based). Even n needs an explicit nonzero
+    rational alpha. Odd n defaults to the canonical root sqrt(alpha_squared),
+    or its negative with ``negative_root``; an explicit alpha must square
+    exactly to the verdict's alpha_squared, so it is rational only when
+    alpha_squared is a perfect square. Odd systems keep alpha as their scale
+    and divide the odd positions by alpha_squared instead.
     """
     if not verdict.regular:
         raise IrregularPolygonError(verdict)
     if isinstance(alpha, int):
         alpha = Fraction(alpha)
     if verdict.parity == "even":
+        if negative_root:
+            raise ValueError("negative_root applies to odd polygons only")
+        if alpha is None:
+            raise ValueError("even polygons need an explicit rational scale (try --alpha 1)")
         if not isinstance(alpha, Fraction):
             raise ValueError("even polygons take a nonzero rational scale factor")
         if alpha == 0:
             raise ValueError("scale factor must be nonzero")
         even, odd = alpha, 1 / alpha
     else:
-        # A rational alpha is legitimate exactly when alpha_squared is a
-        # perfect square; the square test below decides that without any
-        # square-root detection.
-        if not isinstance(alpha, (Fraction, QuadExt)):
-            raise ValueError(
-                "odd polygons need a scale factor squaring to alpha_squared; "
-                "use canonical_alpha()"
-            )
-        if not alpha:
+        if alpha is None:
+            alpha = QuadExt(0, -1 if negative_root else 1, verdict.alpha_squared)
+        elif negative_root:
+            raise ValueError("pass either an explicit scale factor or negative_root")
+        elif not isinstance(alpha, (Fraction, QuadExt)):
+            raise ValueError("odd polygons need a scale factor squaring to alpha_squared")
+        elif not alpha:
             raise ValueError("scale factor must be nonzero")
-        if rational_square(alpha) != verdict.alpha_squared:
+        # A rational alpha is legitimate exactly when alpha_squared is a
+        # perfect square; the square test decides that without any
+        # square-root detection.
+        elif rational_square(alpha) != verdict.alpha_squared:
             raise ValueError(
                 f"scale factor squared is {alpha * alpha}, "
                 f"expected {verdict.alpha_squared}"
@@ -225,7 +225,7 @@ def support_system(
     unscaled = tuple(
         vector * (even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
     )
-    return SupportSystem(unscaled, alpha, verdict.parity)
+    return SupportSystem(unscaled, alpha)
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,7 @@ class SupportCheck:
     failed_index: int | None = None
 
 
-def verify_support(
-    system: SupportSystem | Sequence[Vec3], edges: Sequence[Vec3]
-) -> SupportCheck:
+def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck:
     """Exact check of cross(u_i, u_{i+1}) = v_{i+1} for every i, wrap included.
 
     A support system is checked on its unscaled vectors: with u = scale * q,
@@ -246,10 +244,7 @@ def verify_support(
     scale**2 is rational (alpha_squared for odd n, one for even n), so the
     check stays over the rationals.
     """
-    if isinstance(system, SupportSystem):
-        vectors, square = system.unscaled, rational_square(system.scale)
-    else:
-        vectors, square = tuple(system), _ONE
+    vectors, square = system.unscaled, rational_square(system.scale)
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")
@@ -280,28 +275,11 @@ def build_support_system(
 ) -> SupportSystem:
     """One-call pipeline: determinants, regularity test, chain, scaling.
 
-    Even n requires an explicit nonzero rational ``alpha``. Odd n defaults to
-    the canonical positive root of alpha_squared; ``negative_root`` picks the
-    twin system instead.
+    The scale options are those of :func:`support_system`.
     """
     chain = tuple(edges)
     values = deltas(chain)
     if not all(values):
         ensure_generic(chain)
     verdict = check_regularity(values)
-    if not verdict.regular:
-        raise IrregularPolygonError(verdict)
-    basis = support_basis(chain, values)
-    if verdict.parity == "odd":
-        if alpha is not None and negative_root:
-            raise ValueError("pass either an explicit scale factor or negative_root")
-        if alpha is None:
-            alpha = canonical_alpha(verdict, negative_root)
-    else:
-        if negative_root:
-            raise ValueError("negative_root applies to odd polygons only")
-        if alpha is None:
-            raise ValueError(
-                "even polygons need an explicit rational scale factor (try 1)"
-            )
-    return support_system(basis, verdict, alpha)
+    return support_system(support_basis(chain, values), verdict, alpha, negative_root)

@@ -28,10 +28,8 @@ from .polygon import (
     is_generic,
 )
 from .regularity import (
-    IrregularPolygonError,
     RegularityVerdict,
     SupportSystem,
-    canonical_alpha,
     check_regularity,
     support_basis,
     support_system,
@@ -242,35 +240,34 @@ def derive_report(
         raise NonGenericPolygonError(
             f"polygon is not generic at edge {info['index']}: {info['kind']}"
         )
-    if not verdict.regular:
-        raise IrregularPolygonError(verdict)
+    if verdict.regular and verdict.parity == "odd" and alpha is not None:
+        # support_system reports irregularity, which comes first. It takes any
+        # root of alpha_squared; the CLI picks one by sign.
+        raise ValueError("odd polygons take --negative-root, not an explicit scale")
     basis = support_basis(edges, values)
-    if verdict.parity == "odd":
-        if alpha is not None:
-            raise ValueError("odd polygons take --negative-root, not an explicit scale")
-        system = support_system(basis, verdict, canonical_alpha(verdict, negative_root))
-    else:
-        if negative_root:
-            raise ValueError("negative_root applies to odd polygons only")
-        if alpha is None:
-            raise ValueError("even polygons need an explicit rational scale (try --alpha 1)")
-        system = support_system(basis, verdict, alpha)
+    system = support_system(basis, verdict, alpha, negative_root)
     checked = verify_support(system, edges)
     if not checked.ok:
         raise RuntimeError(
             f"support system failed verification at condition {checked.failed_index}; "
             "this is a bug"
         )
+    support = _support_json(system)
     report["support_system"] = {
-        **_support_json(system),
+        **support,
         "basis_vectors": [vec3_to_json(vector) for vector in basis.vectors],
         "basis_coefficients": [format_scalar(c) for c in basis.coefficients],
         "verified": checked.ok,
     }
+    # The derived vertices are the support vectors: formatted once, then
+    # copied so that the two fields share no list or dict.
     derived = derive(system)
     derived_edges = derived.unscaled_edges
     block = {
-        "vertices": [vec3_to_json(vertex) for vertex in derived.vertices],
+        "vertices": [
+            [dict(part) if isinstance(part, dict) else part for part in row]
+            for row in support["vectors"]
+        ],
         "edges": [vec3_to_json(edge) for edge in scaled(derived_edges, derived.scale)],
     }
     _analysis(block, derived, deltas(derived_edges), "derived_deltas", "derived_generic")

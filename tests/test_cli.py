@@ -148,6 +148,15 @@ class TestCheck:
         assert code == 2
         assert "vertices" in err
 
+    def test_open_edge_list_writes_its_residue_as_scalars(self, capsys, tmp_path):
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps({"edges": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "residue (1, 1, 1)" in err
+        assert "Vec3(" not in err and "Fraction(" not in err
+
     def test_float_check_attaches_oracle_block(self, capsys):
         code, report = run_json(capsys, "check", QUADRANGLE, "--float-check")
         assert code == 0
@@ -261,6 +270,29 @@ class TestDerive:
         assert code == 1
         message = report["error"]["message"]
         assert "odd positions" in message and "even positions" in message
+
+    @pytest.mark.parametrize(
+        "last_vertex, flags",
+        [
+            # The pentagon fixture mirrored in z: its determinant product turns negative.
+            (None, ["--alpha", "2"]),
+            # The regular hexagon fixture with its last vertex moved: the products differ.
+            (["2", "5", "7"], ["--negative-root"]),
+        ],
+    )
+    def test_irregularity_is_reported_before_scale_flags(
+        self, capsys, tmp_path, last_vertex, flags
+    ):
+        if last_vertex is None:
+            vertices = json.loads(Path(PENTAGON).read_text())["vertices"]
+            vertices = [[x, y, str(-Fraction(z))] for x, y, z in vertices]
+        else:
+            vertices = json.loads(Path(HEXAGON).read_text())["vertices"][:-1] + [last_vertex]
+        path = tmp_path / "irregular.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, report = run_json(capsys, "derive", str(path), *flags)
+        assert code == 1
+        assert report["error"]["type"] == "IrregularPolygonError"
 
     def test_quadrangle_self_intersection_is_reported(self, capsys):
         code, report = run_json(capsys, "derive", QUADRANGLE, "--alpha", "1")

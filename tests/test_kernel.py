@@ -17,18 +17,20 @@ edges, area vector and determinants computed on those pairs.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from golden import Pair, pairs
 from polyderive import (
+    DerivedPolygon,
     Polygon,
     QuadExt,
     Vec3,
-    canonical_alpha,
     check_regularity,
     cross,
     deltas,
@@ -41,6 +43,7 @@ from polyderive import (
     support_system,
     verify_support,
 )
+from polyderive import reports, vectors
 from polyderive.reports import derive_report, vec3_to_json
 from polyderive.scalars import format_scalar, power_scaler
 
@@ -178,14 +181,13 @@ def reference_support(edges, negative_root):
     ``b_k * alpha**-1 = Pair(0, s*b_k/r)``.
     """
     verdict = check_regularity(deltas(edges))
-    alpha = canonical_alpha(verdict, negative_root)
     r, s = verdict.alpha_squared, -1 if negative_root else 1
     basis = support_basis(edges)
     vectors = tuple(
         tuple(Pair(0, s * c if k % 2 else s * c / r, r) for c in vector)
         for k, vector in enumerate(basis.vectors)
     )
-    return basis, verdict, alpha, vectors
+    return basis, verdict, vectors
 
 
 def pair_json(vectors):
@@ -209,9 +211,9 @@ class TestScaledOddSystems:
     @given(odd_polygons, st.booleans())
     def test_system_equals_componentwise_scaling(self, polygon, negative_root):
         edges = edge_vectors(polygon)
-        basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        basis, verdict, expected = reference_support(edges, negative_root)
         r = verdict.alpha_squared
-        system = support_system(basis, verdict, alpha)
+        system = support_system(basis, verdict, negative_root=negative_root)
         assert verify_support(system, edges).ok
         count = len(edges)
         for i in range(count):
@@ -224,9 +226,9 @@ class TestScaledOddSystems:
     @given(odd_polygons, st.booleans())
     def test_derived_polygon_equals_componentwise_reference(self, polygon, negative_root):
         edges = edge_vectors(polygon)
-        basis, verdict, alpha, expected = reference_support(edges, negative_root)
+        basis, verdict, expected = reference_support(edges, negative_root)
         r = verdict.alpha_squared
-        derived = derive(support_system(basis, verdict, alpha))
+        derived = derive(support_system(basis, verdict, negative_root=negative_root))
         count = len(expected)
         expected_edges = tuple(
             tuple(q - p for p, q in zip(expected[k], expected[(k + 1) % count]))
@@ -271,3 +273,71 @@ class TestScaledOddSystems:
         value = power_scaler(scale, power)(x)
         assert value == expected
         assert format_scalar(value) == format_scalar(expected)
+
+
+class TestDerivedAreaVector:
+    def test_written_with_the_square_of_the_scale(self):
+        # A derivative's area vector is zero, so it cannot show the power of
+        # the scale it is written with; the pentagon's vertices have a nonzero
+        # one. sigma = sqrt(8/5), and sigma**2 * area(Q) is summed in pairs.
+        points = golden.fixture_polygon("pentagon.json").vertices
+        r = golden.PENTAGON_ALPHA_SQUARED
+        block = reports._analysis(
+            {},
+            DerivedPolygon(points, QuadExt(0, 1, r)),
+            deltas(edge_vectors(Polygon(points))),
+            "derived_deltas",
+        )
+        expected = tuple(tuple(Pair(0, c, r) for c in point) for point in points)
+        area = tuple(Pair(0, 0, r) for _ in range(3))
+        for k in range(len(expected)):
+            step = ref_cross(expected[k], expected[(k + 1) % len(expected)])
+            area = tuple(total + part for total, part in zip(area, step))
+        assert any(part != Pair(0, 0, r) for part in area)
+        assert block["area_vector"] == pair_json([area])[0]
+        assert block["derivability_defect"] == pair_json([area])[0]
+
+
+def count_scaled(monkeypatch) -> list:
+    """Count ``vectors.scaled`` calls through every module that binds it."""
+    calls = []
+    real = vectors.scaled
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyderive") and getattr(module, "scaled", None) is real:
+            monkeypatch.setattr(module, "scaled", counted)
+    return calls
+
+
+DERIVE_CASES = [("pentagon.json", None), ("hexagon_regular.json", Fraction(1))]
+
+
+def objects_in(value) -> set:
+    """Ids of every list and dict inside a JSON value, itself included."""
+    if isinstance(value, list):
+        return {id(value)}.union(*(objects_in(item) for item in value))
+    if isinstance(value, dict):
+        return {id(value)}.union(*(objects_in(item) for item in value.values()))
+    return set()
+
+
+class TestDeriveReportWritesSupportOnce:
+    @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
+    def test_three_scaled_calls(self, monkeypatch, name, alpha):
+        # Support vectors, derived edges and the area vector; the derived
+        # vertices are the support vectors and are not scaled again.
+        calls = count_scaled(monkeypatch)
+        derive_report(golden.fixture_polygon(name), alpha=alpha)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
+    def test_vertices_equal_support_vectors_in_objects_of_their_own(self, name, alpha):
+        report = derive_report(golden.fixture_polygon(name), alpha=alpha)
+        support = report["support_system"]["vectors"]
+        vertices = report["derived_analysis"]["vertices"]
+        assert vertices == support
+        assert not objects_in(vertices) & objects_in(support)

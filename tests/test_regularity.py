@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from polyderive import (
     SupportSystem,
     Vec3,
     build_support_system,
-    canonical_alpha,
     check_regularity,
     cross,
     deltas,
@@ -230,33 +230,68 @@ class TestSupportSystem:
         with pytest.raises(IrregularPolygonError, match="products differ"):
             support_system(basis, verdict, Fraction(1))
 
-    def test_canonical_alpha_requires_odd_regular(self):
-        with pytest.raises(ValueError):
-            canonical_alpha(check_regularity(golden.REGULAR_HEXAGON_DELTAS))
+    def test_canonical_root_requires_odd_regular(self):
+        even = check_regularity(golden.REGULAR_HEXAGON_DELTAS)
+        with pytest.raises(ValueError, match="odd polygons only"):
+            support_system(support_basis(golden.REGULAR_HEXAGON_EDGES), even, negative_root=True)
+        irregular = check_regularity((1, 1, 1, 1, -1))
         with pytest.raises(IrregularPolygonError):
-            canonical_alpha(check_regularity((1, 1, 1, 1, -1)))
+            support_system(support_basis(golden.PENTAGON_EDGES), irregular)
+
+    def test_odd_default_is_the_canonical_root(self):
+        edges = golden.PENTAGON_EDGES
+        basis, verdict = support_basis(edges), check_regularity(deltas(edges))
+        r = golden.PENTAGON_ALPHA_SQUARED
+        assert support_system(basis, verdict).alpha == QuadExt(0, 1, r)
+        assert support_system(basis, verdict, negative_root=True).alpha == QuadExt(0, -1, r)
+
+    def test_odd_rejects_explicit_alpha_with_negative_root(self):
+        edges = golden.PENTAGON_EDGES
+        basis, verdict = support_basis(edges), check_regularity(deltas(edges))
+        with pytest.raises(ValueError, match="either"):
+            support_system(basis, verdict, QuadExt.sqrt(golden.PENTAGON_ALPHA_SQUARED), True)
+
+    def test_parity_is_read_off_n(self):
+        assert [field.name for field in fields(SupportSystem)] == ["unscaled", "alpha"]
+        hexagon = SupportSystem(golden.REGULAR_HEXAGON_SUPPORT, Fraction(2))
+        assert (hexagon.parity, hexagon.scale) == ("even", 1)
+        pentagon = build_support_system(golden.PENTAGON_EDGES)
+        assert (pentagon.parity, pentagon.scale) == ("odd", pentagon.alpha)
+
+
+def even_system(vectors) -> SupportSystem:
+    """A hand-made even support system: the vectors themselves at scale one."""
+    return SupportSystem(tuple(vectors), Fraction(1))
 
 
 class TestVerifySupport:
     def test_printed_hexagon_support_verifies(self):
         assert verify_support(
-            golden.REGULAR_HEXAGON_SUPPORT, golden.REGULAR_HEXAGON_EDGES
+            even_system(golden.REGULAR_HEXAGON_SUPPORT), golden.REGULAR_HEXAGON_EDGES
         ).ok
 
     def test_negating_one_vector_breaks_adjacent_conditions(self):
         vectors = list(golden.REGULAR_HEXAGON_SUPPORT)
         vectors[2] = -vectors[2]
-        result = verify_support(vectors, golden.REGULAR_HEXAGON_EDGES)
+        result = verify_support(even_system(vectors), golden.REGULAR_HEXAGON_EDGES)
         assert not result.ok
         assert result.failed_index == 2  # cross(u_2, u_3) is the first to break
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            verify_support(golden.REGULAR_HEXAGON_SUPPORT[:5], golden.REGULAR_HEXAGON_EDGES)
+            verify_support(
+                even_system(golden.REGULAR_HEXAGON_SUPPORT[:5]), golden.REGULAR_HEXAGON_EDGES
+            )
 
-    def test_accepts_support_system_objects(self):
-        system = SupportSystem(golden.REGULAR_HEXAGON_SUPPORT, Fraction(1), "even")
-        assert verify_support(system, golden.REGULAR_HEXAGON_EDGES).ok
+    def test_odd_system_is_checked_with_its_scale_squared(self):
+        # u = -12 * q with q = u / -12; the check reads 144 * cross(q_i, q_{i+1}).
+        unscaled = tuple(u * Fraction(-1, 12) for u in golden.FLAT_SUPPORT_VECTORS)
+        system = SupportSystem(unscaled, Fraction(-12))
+        assert verify_support(system, golden.FLAT_SUPPORT_EDGES).ok
+        twin = SupportSystem(unscaled, Fraction(12))
+        assert verify_support(twin, golden.FLAT_SUPPORT_EDGES).ok
+        unit = SupportSystem(unscaled, Fraction(1))
+        assert not verify_support(unit, golden.FLAT_SUPPORT_EDGES).ok
 
 
 class TestNestedCrossIdentity:
