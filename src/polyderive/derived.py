@@ -23,7 +23,17 @@ from .regularity import (
     support_system,
 )
 from .scalars import Scalar, power_scaler, scalar_sign
-from .vectors import Vec3, area_vector, cross, dot, mixed, scaled
+from .vectors import (
+    Vec3,
+    _int_cross,
+    _int_sub,
+    _integer_coordinates,
+    area_vector,
+    cross,
+    dot,
+    mixed,
+    scaled,
+)
 
 PolygonLike = Union["DerivedPolygon", Polygon]
 
@@ -93,15 +103,19 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
 
     Triangles are trivially planar. A derived polygon is tested on its
     unscaled points, which are coplanar exactly when the vertices are, so the
-    check runs over the rationals for either parity.
+    check runs over the rationals for either parity. It runs on the points'
+    int triples over one common denominator, a positive scale that keeps
+    every witness nonzero.
     """
     points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) < 4:
         return PlanarityReport(True)
-    span_a = points[1] - points[0]
-    span_b = points[2] - points[0]
-    for k in range(3, len(points)):
-        if mixed(span_a, span_b, points[k] - points[0]):
+    ints, _ = _integer_coordinates(points)
+    base = ints[0]
+    normal = _int_cross(_int_sub(ints[1], base), _int_sub(ints[2], base))
+    for k in range(3, len(ints)):
+        offset = _int_sub(ints[k], base)
+        if normal[0] * offset[0] + normal[1] * offset[1] + normal[2] * offset[2]:
             return PlanarityReport(False, k + 1)
     return PlanarityReport(True)
 

@@ -9,10 +9,20 @@ assumes genericity, so violations are reported with the offending index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .scalars import Scalar, format_scalar
-from .vectors import ZERO_VEC, Vec3, area_vector, cross, mixed
+from .vectors import (
+    ZERO_VEC,
+    Vec3,
+    _int_det,
+    _int_sub,
+    _integer_coordinates,
+    _rational_vector,
+    area_vector,
+    cross,
+)
 
 
 class NonGenericPolygonError(ValueError):
@@ -53,20 +63,32 @@ class Polygon:
 
 
 def edge_vectors(polygon: Polygon) -> tuple[Vec3, ...]:
-    """Differences of consecutive vertices, cyclically; they sum to zero."""
-    points = polygon.vertices
+    """Differences of consecutive vertices, cyclically; they sum to zero.
+
+    They are taken on the vertices' int triples over one common denominator.
+    """
+    points, m = _integer_coordinates(polygon.vertices)
     count = len(points)
-    return tuple(points[(i + 1) % count] - points[i] for i in range(count))
+    return tuple(
+        _rational_vector(_int_sub(points[(i + 1) % count], points[i]), m) for i in range(count)
+    )
 
 
 def deltas(edges: Sequence[Vec3]) -> tuple[Scalar, ...]:
-    """Corner determinants: mixed(v_i, v_{i+1}, v_{i+2}) cyclically."""
+    """Corner determinants: mixed(v_i, v_{i+1}, v_{i+2}) cyclically.
+
+    With the edges as int triples E_i over one common denominator m, each
+    is ``Fraction(D_i, m**3)`` for the integer determinant D_i of E_i,
+    E_{i+1}, E_{i+2}.
+    """
     chain = tuple(edges)
     count = len(chain)
     if count < 3:
         raise ValueError("corner determinants need at least three edges")
+    ints, m = _integer_coordinates(chain)
+    cube = m**3
     return tuple(
-        mixed(chain[i], chain[(i + 1) % count], chain[(i + 2) % count])
+        Fraction(_int_det(ints[i], ints[(i + 1) % count], ints[(i + 2) % count]), cube)
         for i in range(count)
     )
 

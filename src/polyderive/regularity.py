@@ -18,8 +18,17 @@ from functools import cached_property
 from typing import Sequence
 
 from .polygon import NonGenericPolygonError, deltas, ensure_generic
-from .scalars import QuadExt, Scalar, rational_square, scalar_sign
-from .vectors import Vec3, cross, mixed, scaled
+from .scalars import QuadExt, Scalar, format_scalar, rational_square, scalar_sign
+from .vectors import (
+    Vec3,
+    _int_cross,
+    _integer_coordinates,
+    _rational_vector,
+    _times,
+    cross,
+    mixed,
+    scaled,
+)
 
 _ONE = Fraction(1)
 
@@ -48,19 +57,24 @@ class IrregularPolygonError(ValueError):
         if verdict.parity == "even":
             message = (
                 "no support system: alternating determinant products differ "
-                f"(odd positions {verdict.odd_product}, even positions {verdict.even_product})"
+                f"(odd positions {format_scalar(verdict.odd_product)}, "
+                f"even positions {format_scalar(verdict.even_product)})"
             )
         else:
             message = (
                 "no support system: the determinant product "
-                f"{verdict.evidence} is not positive"
+                f"{format_scalar(verdict.evidence)} is not positive"
             )
         super().__init__(message)
         self.verdict = verdict
 
 
-def _product(values: Sequence[Scalar]) -> Scalar:
-    return math.prod(values, start=Fraction(1))
+def _product(values: Sequence[Fraction]) -> tuple[int, int]:
+    """Unreduced int numerator and denominator of a product of rationals."""
+    return (
+        math.prod(value.numerator for value in values),
+        math.prod(value.denominator for value in values),
+    )
 
 
 def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
@@ -69,16 +83,19 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
     Even n: regular iff the products over odd and even positions agree.
     Odd n: regular iff the product of all determinants is positive; the
     squared scale factor (odd product over even product) is reported too.
-    Positions are 1-based.
+    Positions are 1-based. The products run on ints, and each reported
+    value is reduced once.
     """
     values = tuple(delta_values)
     for i, value in enumerate(values):
         if not value:
             raise NonGenericPolygonError(f"corner determinant {i + 1} is zero")
-    odd_product = _product(values[0::2])
-    even_product = _product(values[1::2])
+    odd_num, odd_den = _product(values[0::2])
+    even_num, even_den = _product(values[1::2])
+    odd_product = Fraction(odd_num, odd_den)
+    even_product = Fraction(even_num, even_den)
     if len(values) % 2 == 0:
-        evidence = odd_product - even_product
+        evidence = Fraction(odd_num * even_den - even_num * odd_den, odd_den * even_den)
         return RegularityVerdict(
             regular=not evidence,
             parity="even",
@@ -86,7 +103,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
             odd_product=odd_product,
             even_product=even_product,
         )
-    evidence = odd_product * even_product
+    evidence = Fraction(odd_num * even_num, odd_den * even_den)
     regular = scalar_sign(evidence) > 0
     return RegularityVerdict(
         regular=regular,
@@ -94,7 +111,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
         evidence=evidence,
         odd_product=odd_product,
         even_product=even_product,
-        alpha_squared=odd_product / even_product if regular else None,
+        alpha_squared=Fraction(odd_num * even_den, odd_den * even_num) if regular else None,
     )
 
 
@@ -113,32 +130,48 @@ class SupportBasis:
 def support_basis(
     edges: Sequence[Vec3], delta_values: Sequence[Scalar] | None = None
 ) -> SupportBasis:
-    """Build the support chain for a generic polygon.
+    """Build the support chain for a generic polygon, fraction-free.
 
-    The coefficient recurrence c_{k+1} = 1 / (c_k * delta_k) reproduces the
-    alternating determinant-product formulas by induction while avoiding the
-    large intermediate products. The adjacent conditions
+    The coefficients are the alternating determinant products
+    c_k = (delta_{k-2} delta_{k-4} ...) / (delta_{k-1} delta_{k-3} ...), 1-based,
+    held as an unreduced int numerator N_k and denominator M_k: prefix
+    products of the determinants' numerators p_j and denominators q_j, with
+    N_{k+1} = M_k q_k and M_{k+1} = N_k p_k. With the edges as int triples
+    E_k over one denominator m and W_k = cross(E_k, E_{k+1}), the chain
+    vector is N_k W_k / (M_k m**2). The adjacent conditions
     cross(u_k, u_{k+1}) = v_{k+1} for k < n hold by construction and are
-    re-checked; a failure would mean a bug, not bad input.
+    re-checked as the int equality
+    N_k N_{k+1} cross(W_k, W_{k+1}) = M_k M_{k+1} m**3 E_{k+1};
+    a failure would mean a bug or determinants of other edges, not bad
+    input. Each returned value is reduced once.
     """
     chain = tuple(edges)
     values = tuple(delta_values) if delta_values is not None else deltas(chain)
     if not all(values):
         ensure_generic(chain)
     count = len(chain)
-    coefficients = [Fraction(1)]
+    ints, m = _integer_coordinates(chain)
+    crosses = [_int_cross(ints[k], ints[(k + 1) % count]) for k in range(count)]
+    nums, dens = [1], [1]
     for k in range(count - 1):
-        coefficients.append(1 / (coefficients[k] * values[k]))
-    vectors = tuple(
-        coefficients[k] * cross(chain[k], chain[(k + 1) % count])
-        for k in range(count)
-    )
+        nums.append(dens[k] * values[k].denominator)
+        dens.append(nums[k] * values[k].numerator)
+    cube = m**3
     for k in range(count - 1):
-        if cross(vectors[k], vectors[k + 1]) != chain[k + 1]:
+        left = nums[k] * nums[k + 1]
+        right = dens[k] * dens[k + 1] * cube
+        link = _int_cross(crosses[k], crosses[k + 1])
+        if any(left * a != right * b for a, b in zip(link, ints[k + 1])):
             raise RuntimeError(
                 f"support chain violated its defining condition at link {k + 1}"
             )
-    return SupportBasis(vectors, tuple(coefficients))
+    coefficients = tuple(map(Fraction, nums, dens))
+    square = m * m
+    vectors = tuple(
+        _rational_vector([c.numerator * part for part in w], c.denominator * square)
+        for c, w in zip(coefficients, crosses)
+    )
+    return SupportBasis(vectors, coefficients)
 
 
 @dataclass(frozen=True)
@@ -223,7 +256,7 @@ def support_system(
             )
         even, odd = _ONE, 1 / verdict.alpha_squared
     unscaled = tuple(
-        vector * (even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
+        _times(vector, even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
     )
     return SupportSystem(unscaled, alpha)
 
@@ -241,19 +274,23 @@ def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck
 
     A support system is checked on its unscaled vectors: with u = scale * q,
     the condition reads scale**2 * cross(q_i, q_{i+1}) = v_{i+1}, and
-    scale**2 is rational (alpha_squared for odd n, one for even n), so the
-    check stays over the rationals.
+    scale**2 = s/t is rational (alpha_squared for odd n, one for even n).
+    With q_i = Q_i / L and v_i = E_i / m as int triples over one denominator
+    each, every condition is the int equality
+    s m cross(Q_i, Q_{i+1}) = t L**2 E_{i+1}.
     """
     vectors, square = system.unscaled, rational_square(system.scale)
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")
     count = len(chain)
+    points, den = _integer_coordinates(vectors)
+    ints, m = _integer_coordinates(chain)
+    left = square.numerator * m
+    right = square.denominator * den * den
     for i in range(count):
-        product = cross(vectors[i], vectors[(i + 1) % count])
-        if square != 1:
-            product = product * square
-        if product != chain[(i + 1) % count]:
+        product = _int_cross(points[i], points[(i + 1) % count])
+        if any(left * a != right * b for a, b in zip(product, ints[(i + 1) % count])):
             return SupportCheck(False, i + 1)
     return SupportCheck(True)
 

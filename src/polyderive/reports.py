@@ -36,7 +36,7 @@ from .regularity import (
     verify_support,
 )
 from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, power_scaler
-from .vectors import Vec3, area_vector, scaled
+from .vectors import ZERO_VEC, Vec3, area_vector, scaled
 
 
 class PolygonFormatError(ValueError):
@@ -191,23 +191,27 @@ def _analysis(
     values: Sequence[Scalar],
     deltas_key: str,
     generic_key: str | None = None,
+    area: Vec3 | None = None,
 ) -> dict:
     """Add the analysis of ``scale * unscaled`` to ``block``, run on the unscaled points.
 
-    ``values`` are the determinants of the unscaled edges. The area vector is
-    written with the factor ``scale**2`` and the determinants, under
+    ``values`` are the determinants of the unscaled edges, and ``area``, when
+    the caller knows it, the area vector of the unscaled points. The area
+    vector is written with the factor ``scale**2`` and the determinants, under
     ``deltas_key``, with ``scale**3``; vertices and edges, written with
     ``scale``, are the caller's. Zero patterns, planarity and the hexagon and
     quadrangle tests do not change under a nonzero scale.
     """
     points = polygon.unscaled
     planarity = is_planar(polygon)
+    if area is None:
+        area = area_vector(points)
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
-    area = vec3_to_json(scaled([area_vector(points)], polygon.scale, 2)[0])
+    written = vec3_to_json(scaled([area], polygon.scale, 2)[0])
     block["planarity"] = {"planar": planarity.planar, "witness": planarity.witness}
-    block["area_vector"] = area
-    block["derivability_defect"] = list(area)
+    block["area_vector"] = written
+    block["derivability_defect"] = list(written)
     generic = all(values)
     if generic_key is not None:
         block[generic_key] = generic
@@ -270,7 +274,12 @@ def derive_report(
         ],
         "edges": [vec3_to_json(edge) for edge in scaled(derived_edges, derived.scale)],
     }
-    _analysis(block, derived, deltas(derived_edges), "derived_deltas", "derived_generic")
+    # verify_support passed, so scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
+    # every i: the area vector of the unscaled points is the sum of the input
+    # edges over scale**2, and edges taken between closed vertices sum to zero.
+    _analysis(
+        block, derived, deltas(derived_edges), "derived_deltas", "derived_generic", ZERO_VEC
+    )
     if polygon.n == 6 and block.get("strongly_regular"):
         _type_fields(block, values, "input_")
         if block["input_strongly_regular"]:

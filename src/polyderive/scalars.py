@@ -196,6 +196,7 @@ class QuadExt:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
@@ -212,15 +213,19 @@ def rational_square(value: Scalar) -> Fraction | None:
 
     A rational squares to a rational, and so does ``a + b*sqrt(d)`` exactly
     when ``a = 0`` or ``b = 0``; with both nonzero the square keeps the term
-    ``2ab*sqrt(d)``.
+    ``2ab*sqrt(d)``. The square is built on ints and reduced once.
     """
     if not isinstance(value, QuadExt):
-        return value * value
-    if not value._b:
-        return value._a * value._a
-    if not value._a:
-        return value._b * value._b * value._d
-    return None
+        part, radicand = Fraction(value), _ONE
+    elif not value._b:
+        part, radicand = value._a, _ONE
+    elif not value._a:
+        part, radicand = value._b, value._d
+    else:
+        return None
+    return Fraction(
+        part.numerator**2 * radicand.numerator, part.denominator**2 * radicand.denominator
+    )
 
 
 def power_scaler(scale: Scalar, power: int) -> Callable[[Fraction], Scalar]:
@@ -258,11 +263,47 @@ def scalar_sign(value: Scalar | int) -> int:
     return _sign_of_fraction(Fraction(value))
 
 
+def _decimal(value: int) -> str:
+    """Decimal digits of an int of any size.
+
+    ``str`` refuses ints beyond the interpreter's digit limit (4300 digits by
+    default), so a longer value is split at a power of ten near half its
+    digits, and each half is written the same way.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    size = abs(value)
+    half = size.bit_length() * 3 // 20  # about half of its log10(2) * bits digits
+    high, low = divmod(size, 10**half)
+    digits = _decimal(high) + _decimal(low).zfill(half)
+    return "-" + digits if value < 0 else digits
+
+
+def _rational_text(value: Fraction) -> str:
+    """``str(value)``, written through :func:`_decimal` when a part is too long for ``str``."""
+    try:
+        return str(value)
+    except ValueError:
+        numerator = _decimal(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{_decimal(value.denominator)}"
+
+
 def format_scalar(value: Scalar | int) -> str | dict[str, str]:
-    """JSON form: rationals as ``"p/q"`` strings, extension values as objects."""
+    """JSON form: rationals as ``"p/q"`` strings, extension values as objects.
+
+    Values of any size are written in full; see :func:`_decimal`.
+    """
     if isinstance(value, QuadExt):
-        return {"a": str(value.a), "b": str(value.b), "d": str(value.d)}
-    return str(Fraction(value))
+        return {
+            "a": _rational_text(value.a),
+            "b": _rational_text(value.b),
+            "d": _rational_text(value.d),
+        }
+    return _rational_text(Fraction(value))
 
 
 def parse_scalar(obj: object) -> Scalar:

@@ -2,6 +2,9 @@
 
 Vectors with :class:`~polyderive.scalars.QuadExt` components exist only as
 written-out values (:func:`scaled`); the products take rational vectors.
+They clear denominators once (:func:`_integer_coordinates`) and run on
+Python ints; the private int helpers let the polygon stages run a whole
+polygon over one common denominator and reduce only the values they return.
 """
 
 from __future__ import annotations
@@ -76,50 +79,71 @@ def dot(a: Vec3, b: Vec3) -> Scalar:
     return a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def _integer_coordinates(v: Vec3) -> tuple[int, int, int, int]:
-    """``(x, y, z, m)`` with ``v = (x, y, z) / m`` on ints.
+def _integer_coordinates(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
+    """``(points, m)`` with ``vectors[k] = points[k] / m``: int triples over one denominator.
 
-    ``m`` is the LCM of the component denominators. Cross and mixed products
-    are homogeneous, so they run on the integers and divide once at the end;
-    ``Fraction(num, den)`` reduces to the same lowest terms as componentwise
-    Fraction arithmetic. A component that is not a ``Fraction`` raises
-    ``TypeError``.
+    ``m`` is the LCM of every component denominator, so a whole polygon is
+    cleared of denominators at once. Cross and mixed products are
+    homogeneous, so they run on the int triples and divide once by a power
+    of ``m``; ``Fraction(num, m**k)`` reduces to the same lowest terms as
+    componentwise Fraction arithmetic. A component that is not a
+    ``Fraction`` raises ``TypeError``.
     """
-    x, y, z = v.x, v.y, v.z
-    if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
-        raise TypeError(f"cross and mixed products take rational vectors, got {v!r}")
-    dx, dy, dz = x.denominator, y.denominator, z.denominator
-    if dx == dy == dz:
-        return x.numerator, y.numerator, z.numerator, dx
-    m = math.lcm(dx, dy, dz)
-    return x.numerator * (m // dx), y.numerator * (m // dy), z.numerator * (m // dz), m
+    ratios = []
+    for v in vectors:
+        x, y, z = v.x, v.y, v.z
+        if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
+            raise TypeError(f"cross and mixed products take rational vectors, got {v!r}")
+        ratios += (x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
+    m = math.lcm(*[den for _, den in ratios])
+    parts = iter([num if den == m else num * (m // den) for num, den in ratios])
+    return list(zip(parts, parts, parts)), m
+
+
+def _int_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _int_cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def _int_det(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int, int]) -> int:
+    """Determinant with rows a, b, c, as dot(a, cross(b, c))."""
+    bx, by, bz = b
+    cx, cy, cz = c
+    return a[0] * (by * cz - bz * cy) + a[1] * (bz * cx - bx * cz) + a[2] * (bx * cy - by * cx)
+
+
+def _rational_vector(v: tuple[int, int, int], den: int) -> Vec3:
+    """The public form of ``v / den``: each component reduced once to lowest terms."""
+    return Vec3(Fraction(v[0], den), Fraction(v[1], den), Fraction(v[2], den))
+
+
+def _times(v: Vec3, factor: Fraction) -> Vec3:
+    """``factor * v`` for a rational vector, one reduction per component."""
+    if factor == 1:
+        return v
+    num, den = factor.numerator, factor.denominator
+    return Vec3(*(Fraction(c.numerator * num, c.denominator * den) for c in v))
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product; orthogonal to both arguments."""
-    ax, ay, az, ma = _integer_coordinates(a)
-    bx, by, bz, mb = _integer_coordinates(b)
-    m = ma * mb
-    return Vec3(
-        Fraction(ay * bz - az * by, m),
-        Fraction(az * bx - ax * bz, m),
-        Fraction(ax * by - ay * bx, m),
-    )
+    (pa, pb), m = _integer_coordinates((a, b))
+    return _rational_vector(_int_cross(pa, pb), m * m)
 
 
 def mixed(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
     """Determinant with rows a, b, c, evaluated as dot(a, cross(b, c)).
 
-    The rows run as one integer cofactor expansion over the product of their
-    denominators.
+    The rows run as one integer cofactor expansion over their common
+    denominator.
     """
-    ax, ay, az, ma = _integer_coordinates(a)
-    bx, by, bz, mb = _integer_coordinates(b)
-    cx, cy, cz, mc = _integer_coordinates(c)
-    return Fraction(
-        ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx),
-        ma * mb * mc,
-    )
+    (pa, pb, pc), m = _integer_coordinates((a, b, c))
+    return Fraction(_int_det(pa, pb, pc), m**3)
 
 
 def area_vector(points: Sequence[Vec3]) -> Vec3:
@@ -132,7 +156,6 @@ def area_vector(points: Sequence[Vec3]) -> Vec3:
     count = len(points)
     if count < 3:
         raise ValueError(f"area vector needs at least 3 points, got {count}")
-    total = ZERO_VEC
-    for i, point in enumerate(points):
-        total = total + cross(point, points[(i + 1) % count])
-    return total
+    ints, m = _integer_coordinates(points)
+    crosses = [_int_cross(ints[i], ints[(i + 1) % count]) for i in range(count)]
+    return _rational_vector(tuple(map(sum, zip(*crosses))), m * m)

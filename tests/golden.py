@@ -43,6 +43,20 @@ def det3(a, b, c) -> Fraction:
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
 
+def read_long(text: str) -> int:
+    """The int written as ``text``, read in chunks.
+
+    ``int`` refuses decimal strings beyond the interpreter's digit limit
+    (4300 digits by default), so this is how a test reads such a value back.
+    """
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
 class Pair:
     """Reference ``a + b*sqrt(d)`` with the textbook sum and product.
 

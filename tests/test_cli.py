@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +13,17 @@ from pathlib import Path
 
 import pytest
 
-from golden import FIXTURES_DIR
-from polyderive import cli
+from golden import FIXTURES_DIR, det3, read_long
+from polyderive import (
+    Polygon,
+    Vec3,
+    check_regularity,
+    cli,
+    deltas,
+    edge_vectors,
+    mirror,
+)
+from polyderive.reports import derive_report
 from polyderive.suites import SuiteResult
 
 QUADRANGLE = str(FIXTURES_DIR / "quadrangle.json")
@@ -188,6 +199,41 @@ class TestCheck:
         oracle = report["oracle_results"]
         assert not oracle["ok"]
         assert any("out of float range" in m["detail"] for m in oracle["mismatches"])
+
+
+def generic_301_gon() -> list:
+    """A seeded random 301-gon with integer coordinates in ±10**6."""
+    rng = random.Random(301)
+    return [[rng.randint(-(10**6), 10**6) for _ in range(3)] for _ in range(301)]
+
+
+class TestReportsOfAnySize:
+    """A 301-gon's determinant products pass Python's 4300-digit limit for ``str``."""
+
+    def test_check_writes_the_exact_evidence(self, capsys, tmp_path):
+        rows = generic_301_gon()
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps({"vertices": rows}), encoding="utf-8")
+        code, report = run_json(capsys, "check", str(path))
+        assert code == 0
+        assert report["genericity"] == {"ok": True}
+        count = len(rows)
+        edges = [[q - p for p, q in zip(rows[k], rows[(k + 1) % count])] for k in range(count)]
+        product = math.prod(
+            det3(edges[k], edges[(k + 1) % count], edges[(k + 2) % count]) for k in range(count)
+        )
+        evidence = report["verdict"]["evidence"]
+        assert len(evidence) > 4300
+        assert read_long(evidence) == product
+        assert report["verdict"]["regular"] == (product > 0)
+
+    def test_derive_completes_on_the_regular_mirror(self):
+        polygon = Polygon(tuple(Vec3.of(*row) for row in generic_301_gon()))
+        if not check_regularity(deltas(edge_vectors(polygon))).regular:
+            polygon = mirror(polygon)
+        report = derive_report(polygon)
+        assert report["support_system"]["verified"]
+        assert len(report["derived_analysis"]["vertices"]) == 301
 
 
 class TestWithoutNumpy:

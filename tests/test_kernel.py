@@ -16,12 +16,13 @@ edges, area vector and determinants computed on those pairs.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -30,6 +31,8 @@ from polyderive import (
     DerivedPolygon,
     Polygon,
     QuadExt,
+    SupportCheck,
+    SupportSystem,
     Vec3,
     check_regularity,
     cross,
@@ -43,7 +46,7 @@ from polyderive import (
     support_system,
     verify_support,
 )
-from polyderive import reports, vectors
+from polyderive import regularity, reports, vectors
 from polyderive.reports import derive_report, vec3_to_json
 from polyderive.scalars import format_scalar, power_scaler
 
@@ -341,3 +344,209 @@ class TestDeriveReportWritesSupportOnce:
         vertices = report["derived_analysis"]["vertices"]
         assert vertices == support
         assert not objects_in(vertices) & objects_in(support)
+
+
+# Coordinates for the integer path: coprime, huge and negative denominators;
+# Fraction normalizes a negative denominator into the numerator's sign.
+path_rationals = st.one_of(
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.sampled_from([-1, -3, -(2**61 - 1), -(10**25 + 13), 5**20, 2**64 * 3]),
+    ),
+)
+path_vectors = st.builds(Vec3, path_rationals, path_rationals, path_rationals)
+
+
+def zero_area_points(points, shift, tail):
+    """Points u_1..u_n with zero area vector: the last two solved from the rest.
+
+    With a = u_{n-2}, c = u_1 and S the area sum up to u_{n-2}, the remaining
+    terms cross(a, x) + cross(x, y) + cross(y, c) must equal -S. For x, that
+    is the linear condition dot(x, S - cross(c, a)) = dot(c, S), met by
+    moving x along one axis (for n = 4 both sides vanish and x is free); then cross(x - c, y) = T, with T orthogonal to
+    x - c, is solved by y = cross(T, x - c) / |x - c|**2 + tail * (x - c).
+    Returns None where the condition cannot be met.
+    """
+    u = [tuple(point) for point in points]
+    c, a = u[0], u[-1]
+    total = (Fraction(0),) * 3
+    for p, q in zip(u, u[1:]):
+        total = tuple(s + t for s, t in zip(total, ref_cross(p, q)))
+    g = tuple(s - t for s, t in zip(total, ref_cross(c, a)))
+    target = sum(ci * si for ci, si in zip(c, total))
+    x = list(shift)
+    axis = next((i for i in range(3) if g[i]), None)
+    if axis is not None:
+        rest = sum(g[i] * x[i] for i in range(3) if i != axis)
+        x[axis] = (target - rest) / g[axis]
+    elif target:
+        return None
+    d = tuple(xi - ci for xi, ci in zip(x, c))
+    norm = sum(part * part for part in d)
+    if not norm:
+        return None
+    t = tuple(-s - r for s, r in zip(total, ref_cross(a, x)))
+    y = tuple(part / norm + tail * di for part, di in zip(ref_cross(t, d), d))
+    return u + [tuple(x), y]
+
+
+@st.composite
+def regular_polygons(draw, n):
+    """A regular n-gon, built as the integral of a zero-area polygon.
+
+    Edges cross(u_{i-1}, u_i) of points u with zero area vector close up, and
+    u is a support system of the polygon they bound.
+    """
+    support = zero_area_points(
+        draw(st.lists(path_vectors, min_size=n - 2, max_size=n - 2)),
+        draw(st.tuples(path_rationals, path_rationals, path_rationals)),
+        draw(path_rationals),
+    )
+    assume(support is not None)
+    edges = [Vec3(*ref_cross(support[i - 1], support[i])) for i in range(n)]
+    assume(all(ref_mixed(*(edges[(i + j) % n] for j in range(3))) for i in range(n)))
+    return Polygon.from_edges(edges)
+
+
+def reference_chain(edges):
+    """The Fraction reference: determinants, then c_{k+1} = 1 / (c_k * delta_k)."""
+    count = len(edges)
+    values = tuple(ref_mixed(*(edges[(i + j) % count] for j in range(3))) for i in range(count))
+    coefficients = [Fraction(1)]
+    for k in range(count - 1):
+        coefficients.append(1 / (coefficients[k] * values[k]))
+    vectors = tuple(
+        tuple(c * part for part in ref_cross(edges[k], edges[(k + 1) % count]))
+        for k, c in enumerate(coefficients)
+    )
+    return values, tuple(coefficients), vectors
+
+
+PATH_SETTINGS = settings(max_examples=8, deadline=None)
+
+
+class TestIntegerPath:
+    """The fraction-free core against plain Fraction arithmetic, value for value."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    @PATH_SETTINGS
+    @given(data=st.data(), alpha=path_rationals.filter(bool), negative_root=st.booleans())
+    def test_every_stage_matches_the_fraction_reference(self, n, data, alpha, negative_root):
+        polygon = data.draw(regular_polygons(n))
+        edges = edge_vectors(polygon)
+        ref_edges = tuple(
+            tuple(q - p for p, q in zip(polygon.vertices[k], polygon.vertices[(k + 1) % polygon.n]))
+            for k in range(polygon.n)
+        )
+        assert tuple(map(tuple, edges)) == ref_edges
+        values, coefficients, vectors = reference_chain(ref_edges)
+        assert deltas(edges) == values
+        basis = support_basis(edges, deltas(edges))
+        assert basis.coefficients == coefficients
+        assert tuple(map(tuple, basis.vectors)) == vectors
+
+        verdict = check_regularity(values)
+        assert verdict.regular
+        count = polygon.n
+        if count % 2:
+            r = verdict.alpha_squared
+            odd, even = 1 / r, Fraction(1)
+            system = support_system(basis, verdict, negative_root=negative_root)
+        else:
+            odd, even = 1 / alpha, alpha
+            system = support_system(basis, verdict, alpha)
+        unscaled = tuple(
+            tuple((even if k % 2 else odd) * part for part in vector)
+            for k, vector in enumerate(vectors)
+        )
+        assert tuple(map(tuple, system.unscaled)) == unscaled
+        assert verify_support(system, edges).ok
+
+        derived = derive(system)
+        derived_edges = tuple(
+            tuple(q - p for p, q in zip(unscaled[k], unscaled[(k + 1) % count]))
+            for k in range(count)
+        )
+        assert tuple(map(tuple, derived.unscaled_edges)) == derived_edges
+        derived_values = tuple(
+            ref_mixed(*(derived_edges[(i + j) % count] for j in range(3))) for i in range(count)
+        )
+        if count % 2:
+            sign = -1 if negative_root else 1
+            expected = tuple(QuadExt(0, sign * r * value, r) for value in derived_values)
+        else:
+            expected = derived_values
+        assert derived_deltas(derived) == expected
+        for value in (*deltas(edges), *basis.coefficients, *derived.unscaled_edges[0]):
+            assert type(value) is Fraction
+
+    def test_tampered_determinant_breaks_the_link_it_enters(self):
+        edges = edge_vectors(golden.fixture_polygon("hexagon_regular.json"))
+        values = deltas(edges)
+        for j in range(len(edges) - 1):
+            tampered = values[:j] + (values[j] * 2,) + values[j + 1 :]
+            with pytest.raises(RuntimeError, match=f"at link {j + 1}$"):
+                support_basis(edges, tampered)
+
+    def test_tampered_chain_vector_breaks_its_first_link(self, monkeypatch):
+        # The first n int cross products are the chain's W_k, in order; the
+        # link re-check must catch a doubled W_j at the first link it enters.
+        edges = edge_vectors(golden.fixture_polygon("pentagon.json"))
+        values = deltas(edges)
+        real = regularity._int_cross
+        for j in range(len(edges)):
+            calls = itertools.count()
+
+            def tampered(a, b, j=j, calls=calls):
+                product = real(a, b)
+                return tuple(2 * part for part in product) if next(calls) == j else product
+
+            monkeypatch.setattr(regularity, "_int_cross", tampered)
+            with pytest.raises(RuntimeError, match=f"at link {max(j, 1)}$"):
+                support_basis(edges, values)
+
+    @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
+    def test_tampered_system_vector_fails_its_first_condition(self, name, alpha):
+        edges = edge_vectors(golden.fixture_polygon(name))
+        values = deltas(edges)
+        system = support_system(support_basis(edges, values), check_regularity(values), alpha)
+        count = len(edges)
+        for j in range(count):
+            unscaled = list(system.unscaled)
+            unscaled[j] = unscaled[j] * 2
+            check = verify_support(SupportSystem(tuple(unscaled), system.alpha), edges)
+            assert check == SupportCheck(False, max(j, 1))
+
+    def test_only_the_wrap_condition_fails(self):
+        # Alternating rescaling keeps every link of an odd chain but the wrap,
+        # where two even positions meet.
+        edges = edge_vectors(golden.fixture_polygon("pentagon.json"))
+        values = deltas(edges)
+        system = support_system(support_basis(edges, values), check_regularity(values))
+        rescaled = tuple(
+            vector * (Fraction(1, 3) if k % 2 else Fraction(3))
+            for k, vector in enumerate(system.unscaled)
+        )
+        check = verify_support(SupportSystem(rescaled, system.alpha), edges)
+        assert check == SupportCheck(False, len(edges))
+
+    def test_support_basis_and_verify_support_make_no_fraction_products(self, monkeypatch):
+        edges = edge_vectors(golden.fixture_polygon("pentagon.json"))
+        values = deltas(edges)
+        verdict = check_regularity(values)
+        calls = []
+        real = Fraction.__mul__
+
+        def counted(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, "__mul__", counted)
+        basis = support_basis(edges, values)
+        assert len(calls) == 0
+        system = support_system(basis, verdict)
+        calls.clear()
+        assert verify_support(system, edges).ok
+        assert len(calls) == 0

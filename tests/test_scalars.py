@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from golden import read_long
 from polyderive import (
     QuadExt,
     RadicandMismatchError,
@@ -149,6 +150,18 @@ class TestScalarHelpers:
         encoded = format_scalar(value)
         assert encoded == {"a": "1/2", "b": "-3", "d": "8/5"}
         assert parse_scalar(encoded) == value
+
+    def test_values_beyond_the_digit_limit_are_written_in_full(self):
+        numerator, denominator = -(7**9001) - 3, 3**12000
+        assert math.gcd(numerator, denominator) == 1
+        written = format_scalar(Fraction(numerator, denominator))
+        top, bottom = written.split("/")
+        assert len(top) > 4300 and len(bottom) > 4300
+        assert (read_long(top), read_long(bottom)) == (numerator, denominator)
+        assert read_long(format_scalar(10**9000)) == 10**9000
+        radical = format_scalar(QuadExt(0, 1, Fraction(2**20000 + 1, 3)))
+        assert radical["a"] == "0" and radical["b"] == "1"
+        assert read_long(radical["d"].split("/")[0]) == 2**20000 + 1
 
     def test_parse_scalar_rejects_partial_objects(self):
         with pytest.raises(ValueError):
