@@ -26,7 +26,7 @@ from .scalars import Scalar, power_scaler, scalar_sign
 from .vectors import (
     Vec3,
     _int_cross,
-    _int_sub,
+    _int_difference,
     _integer_coordinates,
     area_vector,
     cross,
@@ -104,18 +104,20 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
     Triangles are trivially planar. A derived polygon is tested on its
     unscaled points, which are coplanar exactly when the vertices are, so the
     check runs over the rationals for either parity. It runs on the points'
-    int triples over one common denominator, a positive scale that keeps
-    every witness nonzero.
+    int triples: each offset from the first point is an int triple over a
+    positive denominator, a scale that keeps every witness nonzero.
     """
     points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) < 4:
         return PlanarityReport(True)
-    ints, _ = _integer_coordinates(points)
-    base = ints[0]
-    normal = _int_cross(_int_sub(ints[1], base), _int_sub(ints[2], base))
+    ints, dens = _integer_coordinates(points)
+    base, low = ints[0], dens[0]
+    span_a, _ = _int_difference(base, low, ints[1], dens[1])
+    span_b, _ = _int_difference(base, low, ints[2], dens[2])
+    normal = _int_cross(span_a, span_b)
     for k in range(3, len(ints)):
-        offset = _int_sub(ints[k], base)
-        if normal[0] * offset[0] + normal[1] * offset[1] + normal[2] * offset[2]:
+        (x, y, z), _ = _int_difference(base, low, ints[k], dens[k])
+        if normal[0] * x + normal[1] * y + normal[2] * z:
             return PlanarityReport(False, k + 1)
     return PlanarityReport(True)
 

@@ -17,7 +17,7 @@ from .vectors import (
     ZERO_VEC,
     Vec3,
     _int_det,
-    _int_sub,
+    _int_difference,
     _integer_coordinates,
     _rational_vector,
     area_vector,
@@ -65,32 +65,34 @@ class Polygon:
 def edge_vectors(polygon: Polygon) -> tuple[Vec3, ...]:
     """Differences of consecutive vertices, cyclically; they sum to zero.
 
-    They are taken on the vertices' int triples over one common denominator.
+    They are taken on the vertices' int triples, each pair over the LCM of
+    its two denominators.
     """
-    points, m = _integer_coordinates(polygon.vertices)
+    points, dens = _integer_coordinates(polygon.vertices)
     count = len(points)
     return tuple(
-        _rational_vector(_int_sub(points[(i + 1) % count], points[i]), m) for i in range(count)
+        _rational_vector(*_int_difference(points[i], dens[i], points[j], dens[j]))
+        for i, j in zip(range(count), (*range(1, count), 0))
     )
 
 
 def deltas(edges: Sequence[Vec3]) -> tuple[Scalar, ...]:
     """Corner determinants: mixed(v_i, v_{i+1}, v_{i+2}) cyclically.
 
-    With the edges as int triples E_i over one common denominator m, each
-    is ``Fraction(D_i, m**3)`` for the integer determinant D_i of E_i,
-    E_{i+1}, E_{i+2}.
+    With the edges as int triples E_i over their own denominators m_i, each
+    is ``Fraction(D_i, m_i m_{i+1} m_{i+2})`` for the integer determinant D_i
+    of E_i, E_{i+1}, E_{i+2}.
     """
     chain = tuple(edges)
     count = len(chain)
     if count < 3:
         raise ValueError("corner determinants need at least three edges")
-    ints, m = _integer_coordinates(chain)
-    cube = m**3
-    return tuple(
-        Fraction(_int_det(ints[i], ints[(i + 1) % count], ints[(i + 2) % count]), cube)
-        for i in range(count)
-    )
+    ints, dens = _integer_coordinates(chain)
+    result = []
+    for i in range(count):
+        j, k = (i + 1) % count, (i + 2) % count
+        result.append(Fraction(_int_det(ints[i], ints[j], ints[k]), dens[i] * dens[j] * dens[k]))
+    return tuple(result)
 
 
 @dataclass(frozen=True)

@@ -134,14 +134,17 @@ def support_basis(
 
     The coefficients are the alternating determinant products
     c_k = (delta_{k-2} delta_{k-4} ...) / (delta_{k-1} delta_{k-3} ...), 1-based,
-    held as an unreduced int numerator N_k and denominator M_k: prefix
+    held as an int numerator N_k and denominator M_k in lowest terms: prefix
     products of the determinants' numerators p_j and denominators q_j, with
-    N_{k+1} = M_k q_k and M_{k+1} = N_k p_k. With the edges as int triples
-    E_k over one denominator m and W_k = cross(E_k, E_{k+1}), the chain
-    vector is N_k W_k / (M_k m**2). The adjacent conditions
+    N_{k+1} = M_k q_k and M_{k+1} = N_k p_k after cancelling gcd(M_k, p_k)
+    and gcd(q_k, N_k) crosswise, as a Fraction product does; unreduced, they
+    would grow to about twice the bits on input with coprime denominators.
+    With the edges as int triples E_k over their own denominators m_k and
+    W_k = cross(E_k, E_{k+1}), the chain vector is
+    N_k W_k / (M_k m_k m_{k+1}). The adjacent conditions
     cross(u_k, u_{k+1}) = v_{k+1} for k < n hold by construction and are
     re-checked as the int equality
-    N_k N_{k+1} cross(W_k, W_{k+1}) = M_k M_{k+1} m**3 E_{k+1};
+    N_k N_{k+1} cross(W_k, W_{k+1}) = M_k M_{k+1} m_k m_{k+1} m_{k+2} E_{k+1};
     a failure would mean a bug or determinants of other edges, not bad
     input. Each returned value is reduced once.
     """
@@ -150,26 +153,30 @@ def support_basis(
     if not all(values):
         ensure_generic(chain)
     count = len(chain)
-    ints, m = _integer_coordinates(chain)
+    ints, dens = _integer_coordinates(chain)
     crosses = [_int_cross(ints[k], ints[(k + 1) % count]) for k in range(count)]
-    nums, dens = [1], [1]
+    tops, bottoms = [1], [1]
     for k in range(count - 1):
-        nums.append(dens[k] * values[k].denominator)
-        dens.append(nums[k] * values[k].numerator)
-    cube = m**3
+        p, q = values[k].numerator, values[k].denominator
+        g, h = math.gcd(bottoms[k], p), math.gcd(q, tops[k])
+        top, bottom = (bottoms[k] // g) * (q // h), (tops[k] // h) * (p // g)
+        tops.append(top if bottom > 0 else -top)
+        bottoms.append(abs(bottom))
+    coefficients = tuple(map(Fraction, tops, bottoms))
     for k in range(count - 1):
-        left = nums[k] * nums[k + 1]
-        right = dens[k] * dens[k + 1] * cube
+        c, d = coefficients[k], coefficients[k + 1]
+        left = c.numerator * d.numerator
+        right = c.denominator * d.denominator * dens[k] * dens[k + 1] * dens[(k + 2) % count]
         link = _int_cross(crosses[k], crosses[k + 1])
         if any(left * a != right * b for a, b in zip(link, ints[k + 1])):
             raise RuntimeError(
                 f"support chain violated its defining condition at link {k + 1}"
             )
-    coefficients = tuple(map(Fraction, nums, dens))
-    square = m * m
     vectors = tuple(
-        _rational_vector([c.numerator * part for part in w], c.denominator * square)
-        for c, w in zip(coefficients, crosses)
+        _rational_vector(
+            [c.numerator * part for part in w], c.denominator * dens[k] * dens[(k + 1) % count]
+        )
+        for k, (c, w) in enumerate(zip(coefficients, crosses))
     )
     return SupportBasis(vectors, coefficients)
 
@@ -275,22 +282,24 @@ def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck
     A support system is checked on its unscaled vectors: with u = scale * q,
     the condition reads scale**2 * cross(q_i, q_{i+1}) = v_{i+1}, and
     scale**2 = s/t is rational (alpha_squared for odd n, one for even n).
-    With q_i = Q_i / L and v_i = E_i / m as int triples over one denominator
-    each, every condition is the int equality
-    s m cross(Q_i, Q_{i+1}) = t L**2 E_{i+1}.
+    With q_i = Q_i / L_i and v_i = E_i / m_i as int triples over their own
+    denominators, every condition is the int equality
+    s m_{i+1} cross(Q_i, Q_{i+1}) = t L_i L_{i+1} E_{i+1}.
     """
     vectors, square = system.unscaled, rational_square(system.scale)
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")
     count = len(chain)
-    points, den = _integer_coordinates(vectors)
-    ints, m = _integer_coordinates(chain)
-    left = square.numerator * m
-    right = square.denominator * den * den
+    points, lows = _integer_coordinates(vectors)
+    ints, dens = _integer_coordinates(chain)
+    s, t = square.numerator, square.denominator
     for i in range(count):
-        product = _int_cross(points[i], points[(i + 1) % count])
-        if any(left * a != right * b for a, b in zip(product, ints[(i + 1) % count])):
+        j = (i + 1) % count
+        product = _int_cross(points[i], points[j])
+        left = s * dens[j]
+        right = t * lows[i] * lows[j]
+        if any(left * a != right * b for a, b in zip(product, ints[j])):
             return SupportCheck(False, i + 1)
     return SupportCheck(True)
 

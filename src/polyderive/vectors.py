@@ -2,9 +2,10 @@
 
 Vectors with :class:`~polyderive.scalars.QuadExt` components exist only as
 written-out values (:func:`scaled`); the products take rational vectors.
-They clear denominators once (:func:`_integer_coordinates`) and run on
-Python ints; the private int helpers let the polygon stages run a whole
-polygon over one common denominator and reduce only the values they return.
+They clear denominators once (:func:`_integer_coordinates`, each vector over
+its own denominator) and run on Python ints; the private int helpers let the
+polygon stages run a whole vector list on ints and reduce only the values
+they return.
 """
 
 from __future__ import annotations
@@ -79,29 +80,48 @@ def dot(a: Vec3, b: Vec3) -> Scalar:
     return a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def _integer_coordinates(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
-    """``(points, m)`` with ``vectors[k] = points[k] / m``: int triples over one denominator.
+def _integer_coordinates(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """``(points, dens)`` with ``vectors[k] = points[k] / dens[k]``: int triples.
 
-    ``m`` is the LCM of every component denominator, so a whole polygon is
-    cleared of denominators at once. Cross and mixed products are
-    homogeneous, so they run on the int triples and divide once by a power
-    of ``m``; ``Fraction(num, m**k)`` reduces to the same lowest terms as
-    componentwise Fraction arithmetic. A component that is not a
-    ``Fraction`` raises ``TypeError``.
+    Each vector is cleared over the LCM of its own three denominators, so the
+    ints stay as small as the vector's own entries whatever the other vectors
+    of a list hold. Cross and mixed products are homogeneous, so they run on
+    the int triples and divide once by the product of the denominators;
+    ``Fraction(num, den)`` reduces to the same lowest terms as componentwise
+    Fraction arithmetic. A component that is not a ``Fraction`` raises
+    ``TypeError``.
     """
-    ratios = []
+    points, dens = [], []
     for v in vectors:
         x, y, z = v.x, v.y, v.z
         if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
             raise TypeError(f"cross and mixed products take rational vectors, got {v!r}")
-        ratios += (x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio())
-    m = math.lcm(*[den for _, den in ratios])
-    parts = iter([num if den == m else num * (m // den) for num, den in ratios])
-    return list(zip(parts, parts, parts)), m
+        dx, dy, dz = x.denominator, y.denominator, z.denominator
+        if dx == dy == dz:
+            points.append((x.numerator, y.numerator, z.numerator))
+            dens.append(dx)
+        else:
+            m = math.lcm(dx, dy, dz)
+            points.append(
+                (x.numerator * (m // dx), y.numerator * (m // dy), z.numerator * (m // dz))
+            )
+            dens.append(m)
+    return points, dens
 
 
 def _int_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _int_difference(
+    a: tuple[int, int, int], da: int, b: tuple[int, int, int], db: int
+) -> tuple[tuple[int, int, int], int]:
+    """``b / db - a / da`` as an int triple over the LCM of the two denominators."""
+    if da == db:
+        return _int_sub(b, a), da
+    g = math.gcd(da, db)
+    sa, sb = db // g, da // g
+    return (b[0] * sb - a[0] * sa, b[1] * sb - a[1] * sa, b[2] * sb - a[2] * sa), sb * db
 
 
 def _int_cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -123,27 +143,36 @@ def _rational_vector(v: tuple[int, int, int], den: int) -> Vec3:
 
 
 def _times(v: Vec3, factor: Fraction) -> Vec3:
-    """``factor * v`` for a rational vector, one reduction per component."""
+    """``factor * v`` for a rational vector, one reduction per component.
+
+    Common factors are cancelled crosswise first, as in a Fraction product,
+    so that the reduction runs on the smallest ints.
+    """
     if factor == 1:
         return v
     num, den = factor.numerator, factor.denominator
-    return Vec3(*(Fraction(c.numerator * num, c.denominator * den) for c in v))
+    parts = []
+    for c in v:
+        top, bottom = c.numerator, c.denominator
+        g, h = math.gcd(top, den), math.gcd(num, bottom)
+        parts.append(Fraction((top // g) * (num // h), (bottom // h) * (den // g)))
+    return Vec3(*parts)
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product; orthogonal to both arguments."""
-    (pa, pb), m = _integer_coordinates((a, b))
-    return _rational_vector(_int_cross(pa, pb), m * m)
+    (pa, pb), (ma, mb) = _integer_coordinates((a, b))
+    return _rational_vector(_int_cross(pa, pb), ma * mb)
 
 
 def mixed(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
     """Determinant with rows a, b, c, evaluated as dot(a, cross(b, c)).
 
-    The rows run as one integer cofactor expansion over their common
-    denominator.
+    The rows run as one integer cofactor expansion over the product of their
+    denominators.
     """
-    (pa, pb, pc), m = _integer_coordinates((a, b, c))
-    return Fraction(_int_det(pa, pb, pc), m**3)
+    (pa, pb, pc), (ma, mb, mc) = _integer_coordinates((a, b, c))
+    return Fraction(_int_det(pa, pb, pc), ma * mb * mc)
 
 
 def area_vector(points: Sequence[Vec3]) -> Vec3:
@@ -156,6 +185,13 @@ def area_vector(points: Sequence[Vec3]) -> Vec3:
     count = len(points)
     if count < 3:
         raise ValueError(f"area vector needs at least 3 points, got {count}")
-    ints, m = _integer_coordinates(points)
+    # The sum needs one denominator for every term: the LCM m of the
+    # points' own denominators.
+    ints, dens = _integer_coordinates(points)
+    m = math.lcm(*dens)
+    ints = [
+        p if d == m else (p[0] * (m // d), p[1] * (m // d), p[2] * (m // d))
+        for p, d in zip(ints, dens)
+    ]
     crosses = [_int_cross(ints[i], ints[(i + 1) % count]) for i in range(count)]
     return _rational_vector(tuple(map(sum, zip(*crosses))), m * m)

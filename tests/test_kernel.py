@@ -1,6 +1,7 @@
 """Differential tests of the exact kernel against reference arithmetic.
 
-``cross`` and ``mixed`` run rational vectors on common-denominator integers;
+``cross`` and ``mixed`` run rational vectors on integers, each vector over
+its own denominator;
 ``QuadExt.__mul__`` skips products with a zero factor. Each result must equal,
 value for value and in its JSON form, what the plain formulas give: Fraction
 arithmetic for rational vectors and the ``(a, b)`` product for
@@ -481,6 +482,15 @@ class TestIntegerPath:
         assert derived_deltas(derived) == expected
         for value in (*deltas(edges), *basis.coefficients, *derived.unscaled_edges[0]):
             assert type(value) is Fraction
+
+    def test_each_vector_is_cleared_over_its_own_denominator(self):
+        # Coprime denominators must not merge into one list-wide LCM, whose
+        # size would grow with the number of vectors and slow every stage.
+        primes = (1_000_003, 1_000_033, 1_000_037)
+        rows = [Vec3(Fraction(1, p), Fraction(-2, p), Fraction(3, 2 * p)) for p in primes]
+        points, dens = vectors._integer_coordinates(rows)
+        assert points == [(2, -4, 3)] * 3
+        assert dens == [2 * p for p in primes]
 
     def test_tampered_determinant_breaks_the_link_it_enters(self):
         edges = edge_vectors(golden.fixture_polygon("hexagon_regular.json"))
