@@ -70,7 +70,6 @@ from .scalars import (
     format_scalar,
     parse_rational,
     parse_scalar,
-    scalar_sign,
 )
 from .vectors import Vec3, area_vector, cross, dot, mixed
 
@@ -126,7 +125,6 @@ __all__ = [
     "random_regular_pentagon",
     "regular_hexagon_via_lift",
     "row_sum_defect",
-    "scalar_sign",
     "second_derivative_type",
     "strongly_regular_check",
     "support_basis",

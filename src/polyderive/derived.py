@@ -22,7 +22,7 @@ from .regularity import (
     support_basis,
     support_system,
 )
-from .scalars import Scalar, power_scaler, scalar_sign
+from .scalars import Scalar, _scaled_values
 from .vectors import (
     Vec3,
     _int_cross,
@@ -127,8 +127,7 @@ def derived_deltas(polygon: DerivedPolygon) -> tuple[Scalar, ...]:
 
     They are ``scale**3`` times those of the unscaled edges.
     """
-    times = power_scaler(polygon.scale, 3)
-    return tuple(times(value) for value in deltas(polygon.unscaled_edges))
+    return tuple(_scaled_values(deltas(polygon.unscaled_edges), polygon.scale, 3))
 
 
 def strongly_regular_check(delta_values: Sequence[Scalar]) -> bool:
@@ -282,7 +281,8 @@ def _self_intersecting(points: Sequence[Vec3]) -> bool:
         raise DegenerateQuadrangleError("degenerate quadrangle: all vertices are collinear")
 
     def orient(p: Vec3, q: Vec3, r: Vec3) -> int:
-        return scalar_sign(mixed(normal, q - p, r - p))
+        value = mixed(normal, q - p, r - p)
+        return (value > 0) - (value < 0)
 
     def proper_cross(p: Vec3, q: Vec3, r: Vec3, s: Vec3) -> bool:
         o1, o2 = orient(p, q, r), orient(p, q, s)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .polygon import Polygon, deltas, edge_vectors, mirror
 from .regularity import SupportSystem
-from .scalars import Scalar, scalar_sign
+from .scalars import Scalar
 from .vectors import Vec3, cross
 
 # Draws a generator makes before it raises GenerationBudgetError.
@@ -93,7 +93,7 @@ def random_regular_pentagon(cfg: GenConfig) -> Polygon:
     the positive product is the regular one.
     """
     for polygon, values in _generic_draws(5, cfg):
-        if scalar_sign(math.prod(values, start=Fraction(1))) < 0:
+        if math.prod(values) < 0:
             return mirror(polygon)
         return polygon
     raise _budget_error("a regular pentagon")
@@ -174,8 +174,9 @@ def alternating_sign_hexagon(cfg: GenConfig) -> Polygon:
     odd positions is positive while the product over even positions is
     negative.
     """
-    target = (1, -1, 1, -1, 1, -1)
+    # Generic draws have no zero determinant, so each sign is read off "> 0".
+    target = (True, False, True, False, True, False)
     for polygon, values in _generic_draws(6, cfg):
-        if tuple(scalar_sign(value) for value in values) == target:
+        if tuple(value > 0 for value in values) == target:
             return polygon
     raise _budget_error("an alternating-sign hexagon")

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .polygon import NonGenericPolygonError, deltas, ensure_generic
-from .scalars import QuadExt, Scalar, format_scalar, rational_square, scalar_sign
+from .scalars import QuadExt, Scalar, _power, format_scalar
 from .vectors import (
     Vec3,
     _int_cross,
@@ -104,7 +104,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
             even_product=even_product,
         )
     evidence = Fraction(odd_num * even_num, odd_den * even_den)
-    regular = scalar_sign(evidence) > 0
+    regular = evidence > 0
     return RegularityVerdict(
         regular=regular,
         parity="odd",
@@ -256,11 +256,14 @@ def support_system(
         # A rational alpha is legitimate exactly when alpha_squared is a
         # perfect square; the square test decides that without any
         # square-root detection.
-        elif rational_square(alpha) != verdict.alpha_squared:
-            raise ValueError(
-                f"scale factor squared is {alpha * alpha}, "
-                f"expected {verdict.alpha_squared}"
-            )
+        else:
+            try:
+                square = _power(alpha, 2)[0]
+            except ValueError:  # both parts of a + b*sqrt(d) nonzero: an irrational square
+                square = alpha * alpha
+            if square != verdict.alpha_squared:
+                expected = verdict.alpha_squared
+                raise ValueError(f"scale factor squared is {square}, expected {expected}")
         even, odd = _ONE, 1 / verdict.alpha_squared
     unscaled = tuple(
         _times(vector, even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
@@ -284,9 +287,10 @@ def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck
     scale**2 = s/t is rational (alpha_squared for odd n, one for even n).
     With q_i = Q_i / L_i and v_i = E_i / m_i as int triples over their own
     denominators, every condition is the int equality
-    s m_{i+1} cross(Q_i, Q_{i+1}) = t L_i L_{i+1} E_{i+1}.
+    s m_{i+1} cross(Q_i, Q_{i+1}) = t L_i L_{i+1} E_{i+1}. A scale whose
+    square is not rational raises ``ValueError``.
     """
-    vectors, square = system.unscaled, rational_square(system.scale)
+    vectors, square = system.unscaled, _power(system.scale, 2)[0]
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")

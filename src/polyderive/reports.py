@@ -35,8 +35,8 @@ from .regularity import (
     support_system,
     verify_support,
 )
-from .scalars import Scalar, format_scalar, parse_rational, parse_scalar, power_scaler
-from .vectors import ZERO_VEC, Vec3, area_vector, scaled
+from .scalars import Scalar, _format_scaled, format_scalar, parse_rational, parse_scalar
+from .vectors import ZERO_VEC, Vec3, area_vector
 
 
 class PolygonFormatError(ValueError):
@@ -45,6 +45,12 @@ class PolygonFormatError(ValueError):
 
 def vec3_to_json(vector: Vec3) -> list:
     return [format_scalar(component) for component in vector]
+
+
+def _scaled_rows(vectors: Sequence[Vec3], scale: Scalar, power: int = 1) -> list[list]:
+    """JSON rows of ``scale**power * v`` for rational vectors, written in one pass."""
+    flat = _format_scaled([c for v in vectors for c in v], scale, power)
+    return [flat[k : k + 3] for k in range(0, len(flat), 3)]
 
 
 def vec3_from_json(items: object) -> Vec3:
@@ -158,7 +164,7 @@ def _support_json(system: SupportSystem) -> dict:
     return {
         "parity": system.parity,
         "alpha": format_scalar(system.alpha),
-        "vectors": [vec3_to_json(vector) for vector in system.vectors],
+        "vectors": _scaled_rows(system.unscaled, system.scale),
     }
 
 
@@ -208,15 +214,14 @@ def _analysis(
         area = area_vector(points)
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
-    written = vec3_to_json(scaled([area], polygon.scale, 2)[0])
+    written = _scaled_rows([area], polygon.scale, 2)[0]
     block["planarity"] = {"planar": planarity.planar, "witness": planarity.witness}
     block["area_vector"] = written
     block["derivability_defect"] = list(written)
     generic = all(values)
     if generic_key is not None:
         block[generic_key] = generic
-    cube = power_scaler(polygon.scale, 3)
-    block[deltas_key] = [format_scalar(cube(value)) for value in values] if generic else None
+    block[deltas_key] = _format_scaled(values, polygon.scale, 3) if generic else None
     if polygon.n == 3:
         block["note"] = "triangles are trivially planar and never generic"
     if polygon.n == 4 and planarity.planar:
@@ -272,7 +277,7 @@ def derive_report(
             [dict(part) if isinstance(part, dict) else part for part in row]
             for row in support["vectors"]
         ],
-        "edges": [vec3_to_json(edge) for edge in scaled(derived_edges, derived.scale)],
+        "edges": _scaled_rows(derived_edges, derived.scale),
     }
     # verify_support passed, so scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
     # every i: the area vector of the unscaled points is the sum of the input

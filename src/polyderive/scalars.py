@@ -2,18 +2,19 @@
 
 Rational values are plain ``fractions.Fraction`` objects, which are always
 stored in lowest terms with a positive denominator; every exact computation
-of the library runs on them. :class:`QuadExt` is the form ``a + b*sqrt(d)``
-in which a report writes a power ``scale**k * x`` of an odd polygon's
-irrational scale, and in which ``plot`` reads such values back. Its one
-arithmetic operation is the product, which squares a scale. No floating
-point enters any computation in this module.
+of the library runs on them. A power ``scale**k`` of an odd polygon's scale
+is a rational factor times one or ``sqrt(d)`` (:func:`_power`): reports
+write ``scale**k * x`` straight into its JSON form, and :class:`QuadExt` is
+the form ``a + b*sqrt(d)`` in which the library's views hold such values and
+in which ``plot`` reads them back. No floating point enters any computation
+in this module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Iterable, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 
@@ -53,14 +54,6 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise TypeError(f"cannot parse rational from {type(value).__name__} value {value!r}")
-
-
-def _sign_of_fraction(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 
 
 class QuadExt:
@@ -107,9 +100,7 @@ class QuadExt:
     def _lift(self, other: object) -> QuadExt | None:
         if isinstance(other, QuadExt):
             if other._d != self._d:
-                raise RadicandMismatchError(
-                    f"radicands differ: {self._d} vs {other._d}"
-                )
+                raise RadicandMismatchError(f"radicands differ: {self._d} vs {other._d}")
             return other
         if isinstance(other, bool):
             return None
@@ -118,11 +109,7 @@ class QuadExt:
         return None
 
     def __mul__(self, other: object) -> QuadExt:
-        """``(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + bed) + (ae + bc)*sqrt(d)``.
-
-        Products with a zero factor are skipped: two pure radicals (a = c = 0),
-        the common case for odd polygons, cost the single product ``bed``.
-        """
+        """``(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + bed) + (ae + bc)*sqrt(d)``, skipping zeros."""
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
@@ -139,16 +126,6 @@ class QuadExt:
         return _quad(a * c + b * e * d, a * e + b * c, d)
 
     __rmul__ = __mul__
-
-    def sign(self) -> int:
-        """Exact sign of ``a`` or of ``b*sqrt(d)``, whichever part is nonzero.
-
-        Written-out values have at most one nonzero part; a value with both
-        is refused rather than compared against its conjugate.
-        """
-        if self._a and self._b:
-            raise ValueError(f"sign of {self!r} needs a zero part")
-        return _sign_of_fraction(self._a or self._b)
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -196,7 +173,6 @@ class QuadExt:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
@@ -208,59 +184,65 @@ def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
     return value
 
 
-def rational_square(value: Scalar) -> Fraction | None:
-    """``value**2`` read off the parts when it is rational, else None.
+def _power(scale: Scalar, power: int) -> tuple[Fraction, Fraction | None, bool]:
+    """``scale**power`` as ``(factor, radicand, radical)``, computed on ints.
 
-    A rational squares to a rational, and so does ``a + b*sqrt(d)`` exactly
-    when ``a = 0`` or ``b = 0``; with both nonzero the square keeps the term
-    ``2ab*sqrt(d)``. The square is built on ints and reduced once.
-    """
-    if not isinstance(value, QuadExt):
-        part, radicand = Fraction(value), _ONE
-    elif not value._b:
-        part, radicand = value._a, _ONE
-    elif not value._a:
-        part, radicand = value._b, value._d
-    else:
-        return None
-    return Fraction(
-        part.numerator**2 * radicand.numerator, part.denominator**2 * radicand.denominator
-    )
-
-
-def power_scaler(scale: Scalar, power: int) -> Callable[[Fraction], Scalar]:
-    """The map ``x -> scale**power * x`` on rationals, built from parts.
-
-    ``scale`` is a rational or a :class:`QuadExt` with a zero part, so its
-    square is rational and each power is a rational multiple of one or of
-    ``sqrt(d)``. The results equal the products :class:`QuadExt` arithmetic
-    gives, value for value and in :func:`format_scalar` form, without any
-    extension multiplication.
+    The power is ``factor * sqrt(radicand)`` when ``radical`` holds and
+    ``factor`` otherwise; ``radicand`` is None for a rational scale. A scale
+    ``a + b*sqrt(d)`` needs a zero part, so that its square is rational: for
+    ``b = 0`` the factor is ``a**power``, and for ``a = 0`` it is
+    ``(b*b*d)**(power // 2)`` times ``b`` for an odd power, with ``sqrt(d)``
+    kept. This is the one place that decides how a power of a scale is held.
     """
     if not isinstance(scale, QuadExt):
-        if scale == 1:
-            return lambda x: x
-        factor = scale**power
-        return lambda x: factor * x
-    d = scale._d
-    if scale._a and scale._b:
+        return Fraction(scale) ** power, None, False
+    a, b, d = scale._a, scale._b, scale._d
+    if a and b:
         raise ValueError(f"scale {scale} has no rational square")
-    if not scale._b:
-        factor = scale._a**power
-        return lambda x: _quad(factor * x, _ZERO, d)
+    if not b:
+        return a**power, d, False
     half, odd = divmod(power, 2)
-    factor = (scale._b * scale._b * d) ** half
+    p, q = b.numerator, b.denominator
+    top = (p * p * d.numerator) ** half
+    bottom = (q * q * d.denominator) ** half
     if odd:
-        factor *= scale._b
-        return lambda x: _quad(_ZERO, factor * x, d)
-    return lambda x: _quad(factor * x, _ZERO, d)
+        top, bottom = top * p, bottom * q
+    return Fraction(top, bottom), d, bool(odd)
 
 
-def scalar_sign(value: Scalar | int) -> int:
-    """Exact sign (-1, 0, +1) for any scalar of the tower."""
-    if isinstance(value, QuadExt):
-        return value.sign()
-    return _sign_of_fraction(Fraction(value))
+def _products(values: Iterable[Fraction], factor: Fraction) -> list[Fraction]:
+    """``factor * x`` for each value, with no product for a factor of one or minus one."""
+    if factor == 1:
+        return list(values)
+    if factor == -1:
+        return [-x for x in values]
+    return [factor * x for x in values]
+
+
+def _scaled_values(values: Iterable[Fraction], scale: Scalar, power: int) -> list[Scalar]:
+    """``scale**power * x`` for each rational value, as the library's views hold it."""
+    factor, radicand, radical = _power(scale, power)
+    products = _products(values, factor)
+    if radicand is None:
+        return products
+    if radical:
+        return [_quad(_ZERO, x, radicand) for x in products]
+    return [_quad(x, _ZERO, radicand) for x in products]
+
+
+def _format_scaled(values: Iterable[Fraction], scale: Scalar, power: int) -> list:
+    """The :func:`format_scalar` forms of ``scale**power * x``, built with no :class:`QuadExt`.
+
+    An ``{"a", "b", "d"}`` object is written with its radicand formatted once for all.
+    """
+    factor, radicand, radical = _power(scale, power)
+    texts = [_rational_text(x) for x in _products(values, factor)]
+    if radicand is None:
+        return texts
+    d = _rational_text(radicand)
+    if radical:
+        return [{"a": "0", "b": text, "d": d} for text in texts]
+    return [{"a": text, "b": "0", "d": d} for text in texts]
 
 
 def _decimal(value: int) -> str:

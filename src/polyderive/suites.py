@@ -37,7 +37,7 @@ from .generators import (
     regular_hexagon_via_lift,
 )
 from .oracle import OpenSupportError, alternating_product_identity, derived_relation_defects
-from .polygon import NonGenericPolygonError, deltas, edge_vectors
+from .polygon import NonGenericPolygonError, Polygon, deltas, edge_vectors
 from .regularity import (
     build_support_system,
     check_regularity,
@@ -122,6 +122,11 @@ def _run(
     return SuiteResult(name, samples, failures, first, redraws)
 
 
+def _failure(polygon: Polygon, seed: int, reason: str) -> dict:
+    """The counterexample of a failing draw: its polygon, its seed and the failed claim."""
+    return {"polygon": polygon_to_json(polygon), "seed": seed, "failed": reason}
+
+
 def _suite_quadrangle_derivatives(samples: int, seed: int) -> SuiteResult:
     """Every generic quadrangle is regular with determinants (d, -d, d, -d);
     its derivative is planar, has zero area vector, and self-intersects."""
@@ -131,27 +136,26 @@ def _suite_quadrangle_derivatives(samples: int, seed: int) -> SuiteResult:
         polygon = random_generic_polygon(4, cfg)
         edges = edge_vectors(polygon)
         values = deltas(edges)
-        payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
         if not (
             values[1] == -values[0]
             and values[2] == values[0]
             and values[3] == -values[0]
         ):
-            return {**payload, "failed": "determinant recurrence"}
+            return _failure(polygon, cfg.seed, "determinant recurrence")
         verdict = check_regularity(values)
         if not verdict.regular:
-            return {**payload, "failed": "regularity"}
+            return _failure(polygon, cfg.seed, "regularity")
         derived = derive(support_system(support_basis(edges, values), verdict, Fraction(1)))
         if not is_planar(derived).planar:
-            return {**payload, "failed": "planarity"}
+            return _failure(polygon, cfg.seed, "planarity")
         if not area_vector(derived.vertices).is_zero():
-            return {**payload, "failed": "zero area vector"}
+            return _failure(polygon, cfg.seed, "zero area vector")
         try:
             crossing = _self_intersecting(derived.vertices)
         except DegenerateQuadrangleError as exc:
             raise _DegenerateDraw from exc  # collinear derived vertices
         if not crossing:
-            return {**payload, "failed": "self-intersection"}
+            return _failure(polygon, cfg.seed, "self-intersection")
         return None
 
     return _run("thm31", samples, seed, 31, check_one)
@@ -166,13 +170,12 @@ def _suite_pentagon_derivatives(samples: int, seed: int) -> SuiteResult:
         cfg = GenConfig(seed=child)
         polygon = random_regular_pentagon(cfg)
         edges = edge_vectors(polygon)
-        payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
         derived = derive(build_support_system(edges))
         if not is_planar(derived).planar:
-            return {**payload, "failed": "planarity"}
+            return _failure(polygon, cfg.seed, "planarity")
         # The area vector is scale**2 times that of the unscaled points.
         if not area_vector(derived.unscaled).is_zero():
-            return {**payload, "failed": "zero area vector"}
+            return _failure(polygon, cfg.seed, "zero area vector")
         return None
 
     return _run("thm41", samples, seed, 41, check_one)
@@ -186,7 +189,6 @@ def _suite_hexagon_types(samples: int, seed: int) -> SuiteResult:
         cfg = GenConfig(seed=child)
         polygon, _system = regular_hexagon_via_lift(cfg)
         edges = edge_vectors(polygon)
-        payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
         input_values = deltas(edges)
         verdict = check_regularity(input_values)
         basis = support_basis(edges, input_values)
@@ -199,10 +201,10 @@ def _suite_hexagon_types(samples: int, seed: int) -> SuiteResult:
             except NonGenericPolygonError as exc:
                 raise _DegenerateDraw from exc  # zero derived determinant
             if not symmetric:
-                return {**payload, "failed": f"strong regularity at alpha {alpha}"}
+                return _failure(polygon, cfg.seed, f"strong regularity at alpha {alpha}")
             types.append(_hex_type(values))
         if any(t != types[0] for t in types[1:]):
-            return {**payload, "failed": "type depends on the scale factor"}
+            return _failure(polygon, cfg.seed, "type depends on the scale factor")
         return None
 
     return _run("thm51", samples, seed, 51, check_one)
@@ -216,14 +218,13 @@ def _suite_second_derivatives(samples: int, seed: int) -> SuiteResult:
         cfg = GenConfig(seed=child)
         polygon, _system = regular_hexagon_via_lift(cfg)
         edges = edge_vectors(polygon)
-        payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
         alpha1, alpha2 = SCALE_PAIRS[child % len(SCALE_PAIRS)]
         try:
             result = second_derivative_type(edges, alpha1, alpha2)
         except NonGenericPolygonError as exc:
             raise _DegenerateDraw from exc  # degenerate first or second derivative
         if result.first_type != result.second_type:
-            return {**payload, "failed": "type changed between derivatives"}
+            return _failure(polygon, cfg.seed, "type changed between derivatives")
         first, second = result.first_deltas, result.second_deltas
         shifts = (
             second[0] * first[2] == second[1] * first[1],
@@ -231,7 +232,7 @@ def _suite_second_derivatives(samples: int, seed: int) -> SuiteResult:
             second[2] * first[1] == second[0] * first[0],
         )
         if not all(shifts):
-            return {**payload, "failed": "determinant shift relations"}
+            return _failure(polygon, cfg.seed, "determinant shift relations")
         return None
 
     return _run("thm52", samples, seed, 52, check_one)
@@ -245,7 +246,6 @@ def _suite_two_planes(samples: int, seed: int) -> SuiteResult:
         cfg = GenConfig(seed=child)
         polygon, _system = regular_hexagon_via_lift(cfg)
         edges = edge_vectors(polygon)
-        payload = {"polygon": polygon_to_json(polygon), "seed": cfg.seed}
         alpha = SCALE_FACTORS[child % len(SCALE_FACTORS)]
         derived = derive(build_support_system(edges, alpha=alpha))
         try:
@@ -253,11 +253,11 @@ def _suite_two_planes(samples: int, seed: int) -> SuiteResult:
         except CollinearAnchorError as exc:
             raise _DegenerateDraw from exc  # no anchor plane
         if any(split.odd_offsets):
-            return {**payload, "failed": "anchor-plane offsets not zero"}
+            return _failure(polygon, cfg.seed, "anchor-plane offsets not zero")
         if not split.parallel:
-            return {**payload, "failed": "even offsets differ"}
+            return _failure(polygon, cfg.seed, "even offsets differ")
         if not split.projected_area_vector.is_zero():
-            return {**payload, "failed": "projected area vector not zero"}
+            return _failure(polygon, cfg.seed, "projected area vector not zero")
         return None
 
     return _run("sec6", samples, seed, 6, check_one)

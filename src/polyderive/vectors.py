@@ -1,11 +1,11 @@
 """3-vector algebra over the rationals: dot, cross, mixed, area vector.
 
 Vectors with :class:`~polyderive.scalars.QuadExt` components exist only as
-written-out values (:func:`scaled`); the products take rational vectors.
-They clear denominators once (:func:`_integer_coordinates`, each vector over
-its own denominator) and run on Python ints; the private int helpers let the
-polygon stages run a whole vector list on ints and reduce only the values
-they return.
+the views of a scaled polygon (:func:`scaled`); the products take rational
+vectors. They clear denominators once (:func:`_integer_coordinates`, each
+vector over its own denominator) and run on Python ints; the private int
+helpers let the polygon stages run a whole vector list on ints and reduce
+only the values they return.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .scalars import QuadExt, Scalar, parse_rational, power_scaler
+from .scalars import QuadExt, Scalar, _scaled_values, parse_rational
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def _component(value: object) -> Fraction:
 ZERO_VEC = Vec3(Fraction(0), Fraction(0), Fraction(0))
 
 
-def scaled(vectors: Sequence[Vec3], scale: Scalar, power: int = 1) -> tuple[Vec3, ...]:
-    """Each rational vector times ``scale**power``; see :func:`scalars.power_scaler`."""
+def scaled(vectors: Sequence[Vec3], scale: Scalar) -> tuple[Vec3, ...]:
+    """Each rational vector times ``scale``; see :func:`scalars._power`."""
     if not isinstance(scale, QuadExt) and scale == 1:
         return tuple(vectors)
-    times = power_scaler(scale, power)
-    return tuple(Vec3(times(v.x), times(v.y), times(v.z)) for v in vectors)
+    flat = _scaled_values([c for v in vectors for c in v], scale, 1)
+    return tuple(Vec3(*flat[k : k + 3]) for k in range(0, len(flat), 3))
 
 
 def dot(a: Vec3, b: Vec3) -> Scalar:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +34,7 @@ from polyderive import (
     SupportCheck,
     SupportSystem,
     Vec3,
+    build_support_system,
     check_regularity,
     cross,
     deltas,
@@ -47,9 +47,9 @@ from polyderive import (
     support_system,
     verify_support,
 )
-from polyderive import regularity, reports, vectors
+from polyderive import regularity, reports, scalars, vectors
 from polyderive.reports import derive_report, vec3_to_json
-from polyderive.scalars import format_scalar, power_scaler
+from polyderive.scalars import _format_scaled, _scaled_values, format_scalar
 
 # Zero, small, coprime and very large denominators, both signs.
 rationals = st.one_of(
@@ -75,6 +75,9 @@ extension_values = st.one_of(
     st.builds(lambda a, b: QuadExt(a, b, RADICAND), rationals, rationals),
     st.builds(lambda a: QuadExt(a, 0, RADICAND), rationals),
 )
+
+# Positive radicands, from the same zero-free draws.
+radicands = rationals.filter(bool).map(abs)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -263,20 +266,30 @@ class TestScaledOddSystems:
     @SETTINGS
     @given(
         st.one_of(
-            rationals.filter(bool),
-            st.builds(lambda b: QuadExt(0, b, RADICAND), rationals.filter(bool)),
-            st.builds(lambda a: QuadExt(a, 0, RADICAND), rationals.filter(bool)),
+            rationals,
+            st.builds(lambda b, d: QuadExt(0, b, d), rationals, radicands),
+            st.builds(lambda a, d: QuadExt(a, 0, d), rationals, radicands),
         ),
-        st.integers(min_value=1, max_value=4),
-        rationals,
+        st.lists(rationals, max_size=4),
     )
-    def test_power_scaler_matches_repeated_products(self, scale, power, x):
-        expected = x
-        for _ in range(power):
-            expected = scale * expected
-        value = power_scaler(scale, power)(x)
-        assert value == expected
-        assert format_scalar(value) == format_scalar(expected)
+    def test_writer_matches_repeated_products(self, scale, values):
+        for power in range(1, 5):
+            expected = []
+            for x in values:
+                for _ in range(power):
+                    x = scale * x
+                expected.append(x)
+            assert _format_scaled(values, scale, power) == list(map(format_scalar, expected))
+            views = _scaled_values(values, scale, power)
+            assert views == expected
+            assert list(map(format_scalar, views)) == list(map(format_scalar, expected))
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (-1, -1), (1, -1), (-1, 1), (3, -2)])
+    def test_writer_needs_a_zero_part(self, a, b):
+        scale = QuadExt(a, b, 2)
+        for power in range(1, 5):
+            with pytest.raises(ValueError, match="has no rational square"):
+                _format_scaled([Fraction(1)], scale, power)
 
 
 class TestDerivedAreaVector:
@@ -302,18 +315,16 @@ class TestDerivedAreaVector:
         assert block["derivability_defect"] == pair_json([area])[0]
 
 
-def count_scaled(monkeypatch) -> list:
-    """Count ``vectors.scaled`` calls through every module that binds it."""
+def count_writes(monkeypatch) -> list:
+    """Record the values and power of every ``_format_scaled`` call of ``reports``."""
     calls = []
-    real = vectors.scaled
+    real = reports._format_scaled
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(values, scale, power):
+        calls.append((list(values), power))
+        return real(values, scale, power)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("polyderive") and getattr(module, "scaled", None) is real:
-            monkeypatch.setattr(module, "scaled", counted)
+    monkeypatch.setattr(reports, "_format_scaled", counted)
     return calls
 
 
@@ -331,12 +342,35 @@ def objects_in(value) -> set:
 
 class TestDeriveReportWritesSupportOnce:
     @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
-    def test_three_scaled_calls(self, monkeypatch, name, alpha):
-        # Support vectors, derived edges and the area vector; the derived
-        # vertices are the support vectors and are not scaled again.
-        calls = count_scaled(monkeypatch)
-        derive_report(golden.fixture_polygon(name), alpha=alpha)
-        assert len(calls) == 3
+    def test_support_vectors_written_once(self, monkeypatch, name, alpha):
+        # One write each for the support vectors, the derived edges and the
+        # area vector, then the derived determinants if the derivative is
+        # generic (a derived pentagon is planar, so it is not); the derived
+        # vertices are the support vectors and are not written again.
+        writes = count_writes(monkeypatch)
+        polygon = golden.fixture_polygon(name)
+        derive_report(polygon, alpha=alpha)
+        support = build_support_system(edge_vectors(polygon), alpha).unscaled
+        assert [power for _values, power in writes] == [1, 1, 2, 3][: max(3, len(writes))]
+        assert [values for values, _power in writes].count([c for v in support for c in v]) == 1
+
+    def test_pentagon_builds_alpha_and_no_other_extension_value(self, monkeypatch):
+        # Every power of alpha is written from its parts.
+        built, inits = [], []
+        real_quad, real_init = scalars._quad, QuadExt.__init__
+
+        def quad(*args):
+            built.append(args)
+            return real_quad(*args)
+
+        def init(self, *args):
+            inits.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(scalars, "_quad", quad)
+        monkeypatch.setattr(QuadExt, "__init__", init)
+        derive_report(golden.fixture_polygon("pentagon.json"))
+        assert (len(built), len(inits)) == (0, 1)
 
     @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
     def test_vertices_equal_support_vectors_in_objects_of_their_own(self, name, alpha):

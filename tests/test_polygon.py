@@ -22,7 +22,6 @@ from polyderive import (
     ensure_generic,
     is_generic,
     mirror,
-    scalar_sign,
 )
 
 UNIT_SQUARE = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
@@ -146,19 +145,19 @@ class TestSignPattern:
 
     def test_alternating_pattern_blocks_regularity(self):
         verdict = check_regularity(fracs(1, -2, 3, -4, 5, -6))
-        assert scalar_sign(verdict.odd_product) == 1
-        assert scalar_sign(verdict.even_product) == -1
+        assert verdict.odd_product > 0
+        assert verdict.even_product < 0
         assert not verdict.regular
 
     def test_pentagon_total_product_is_positive(self):
         verdict = check_regularity(golden.PENTAGON_DELTAS)
         assert verdict.parity == "odd"
-        assert scalar_sign(verdict.evidence) == 1
+        assert verdict.evidence > 0
 
     def test_all_positive_hexagon(self):
         verdict = check_regularity(fracs(1, 2, 3, 4, 5, 6))
-        assert scalar_sign(verdict.odd_product) == 1
-        assert scalar_sign(verdict.even_product) == 1
+        assert verdict.odd_product > 0
+        assert verdict.even_product > 0
 
 
 class TestDerivabilityDefect:

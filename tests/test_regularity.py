@@ -24,6 +24,8 @@ from polyderive import (
     check_regularity,
     cross,
     deltas,
+    derive,
+    derived_deltas,
     edge_vectors,
     mirror,
     nested_cross_identity,
@@ -292,6 +294,18 @@ class TestVerifySupport:
         assert verify_support(twin, golden.FLAT_SUPPORT_EDGES).ok
         unit = SupportSystem(unscaled, Fraction(1))
         assert not verify_support(unit, golden.FLAT_SUPPORT_EDGES).ok
+
+    def test_scale_without_rational_square_is_refused(self):
+        # The views of such a system refuse it with the same message.
+        edges = golden.PENTAGON_EDGES
+        system = SupportSystem(build_support_system(edges).unscaled, QuadExt(1, 1, 2))
+        for view in (
+            lambda: verify_support(system, edges),
+            lambda: system.vectors,
+            lambda: derived_deltas(derive(system)),
+        ):
+            with pytest.raises(ValueError, match=r"scale 1\+sqrt\(2\) has no rational square"):
+                view()
 
 
 class TestNestedCrossIdentity:

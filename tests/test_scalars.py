@@ -16,7 +16,6 @@ from polyderive import (
     format_scalar,
     parse_rational,
     parse_scalar,
-    scalar_sign,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -112,23 +111,6 @@ class TestQuadExtComparisons:
     def test_hash_agrees_with_rational_equality(self):
         assert hash(QuadExt(Fraction(3, 4), 0, 2)) == hash(Fraction(3, 4))
 
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            (0, 1, 1),
-            (0, -2, -1),
-            (3, 0, 1),
-            (0, 0, 0),
-        ],
-    )
-    def test_sign(self, a, b, expected):
-        assert quad(a, b).sign() == expected
-
-    @pytest.mark.parametrize("a,b", [(1, 1), (-1, -1), (1, -1), (-1, 1), (3, -2)])
-    def test_sign_needs_a_zero_part(self, a, b):
-        with pytest.raises(ValueError, match="zero part"):
-            quad(a, b).sign()
-
     def test_float_conversion(self):
         assert float(quad(1, 1)) == pytest.approx(1 + math.sqrt(2))
 
@@ -140,11 +122,6 @@ class TestQuadExtComparisons:
 
 
 class TestScalarHelpers:
-    def test_scalar_sign_on_rationals(self):
-        assert scalar_sign(Fraction(-2, 3)) == -1
-        assert scalar_sign(0) == 0
-        assert scalar_sign(5) == 1
-
     def test_format_and_parse_quadext(self):
         value = QuadExt(Fraction(1, 2), Fraction(-3), Fraction(8, 5))
         encoded = format_scalar(value)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from golden import vecs
-from polyderive import suites
+from polyderive import GenConfig, PlanarityReport, random_regular_pentagon, suites
 from polyderive.derived import DerivedPolygon, _self_intersecting, two_plane_decomposition
+from polyderive.reports import polygon_to_json
 from polyderive.suites import (
     SUITES,
     SuiteResult,
@@ -159,3 +160,24 @@ class TestTypedRedraws:
             _self_intersecting(COLLINEAR_QUADRANGLE)
         with pytest.raises(ValueError, match="collinear"):
             two_plane_decomposition(COLLINEAR_ANCHOR_HEXAGON)
+
+
+POLYGON_SUITES = ["thm31", "thm41", "thm51", "thm52", "sec6"]
+
+
+class TestCounterexamples:
+    @pytest.mark.parametrize("suite", POLYGON_SUITES)
+    def test_passing_draws_write_no_polygon(self, monkeypatch, suite):
+        written = []
+        monkeypatch.setattr(suites, "polygon_to_json", written.append)
+        assert run_suite(suite, 2, seed=5).passed
+        assert written == []
+
+    def test_failing_draw_carries_its_polygon_and_seed(self, monkeypatch):
+        monkeypatch.setattr(suites, "is_planar", lambda polygon: PlanarityReport(False, 4))
+        result = run_suite("thm41", 1, seed=5)
+        example = result.first_counterexample
+        assert list(example) == ["polygon", "seed", "failed"]
+        polygon = random_regular_pentagon(GenConfig(seed=example["seed"]))
+        assert example["polygon"] == polygon_to_json(polygon)
+        assert example["failed"] == "planarity"
