@@ -100,7 +100,9 @@ class QuadExt:
     def _lift(self, other: object) -> QuadExt | None:
         if isinstance(other, QuadExt):
             if other._d != self._d:
-                raise RadicandMismatchError(f"radicands differ: {self._d} vs {other._d}")
+                raise RadicandMismatchError(
+                    f"radicands differ: {self._d} vs {other._d}"
+                )
             return other
         if isinstance(other, bool):
             return None
