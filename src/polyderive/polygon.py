@@ -50,15 +50,13 @@ class Polygon:
         chain = tuple(edges)
         if len(chain) < 3:
             raise ValueError("a polygon needs at least three edges")
-        total = ZERO_VEC
+        points = [ZERO_VEC]
         for edge in chain:
-            total = total + edge
+            points.append(points[-1] + edge)
+        total = points.pop()
         if not total.is_zero():
             residue = ", ".join(str(format_scalar(part)) for part in total)
             raise ValueError(f"edge vectors do not close up, residue ({residue})")
-        points = [ZERO_VEC]
-        for edge in chain[:-1]:
-            points.append(points[-1] + edge)
         return cls(tuple(points))
 
 

@@ -120,11 +120,14 @@ class SupportBasis:
     """Unscaled support chain: vectors[k] = coefficients[k] * cross(v_k, v_{k+1}).
 
     The chain starts at cross(v_1, v_2) with coefficient one and is then
-    forced link by link by the adjacent cross-product conditions.
+    forced link by link by the adjacent cross-product conditions. ``edges``
+    are the v_k it was built from, against which :func:`support_system`
+    checks the scaled system.
     """
 
     vectors: tuple[Vec3, ...]
     coefficients: tuple[Scalar, ...]
+    edges: tuple[Vec3, ...]
 
 
 def support_basis(
@@ -142,11 +145,9 @@ def support_basis(
     With the edges as int triples E_k over their own denominators m_k and
     W_k = cross(E_k, E_{k+1}), the chain vector is
     N_k W_k / (M_k m_k m_{k+1}). The adjacent conditions
-    cross(u_k, u_{k+1}) = v_{k+1} for k < n hold by construction and are
-    re-checked as the int equality
-    N_k N_{k+1} cross(W_k, W_{k+1}) = M_k M_{k+1} m_k m_{k+1} m_{k+2} E_{k+1};
-    a failure would mean a bug or determinants of other edges, not bad
-    input. Each returned value is reduced once.
+    cross(u_k, u_{k+1}) = v_{k+1} for k < n hold by construction;
+    :func:`support_system` checks them, with the wrap, on the scaled
+    system. Each returned value is reduced once.
     """
     chain = tuple(edges)
     values = tuple(delta_values) if delta_values is not None else deltas(chain)
@@ -163,22 +164,13 @@ def support_basis(
         tops.append(top if bottom > 0 else -top)
         bottoms.append(abs(bottom))
     coefficients = tuple(map(Fraction, tops, bottoms))
-    for k in range(count - 1):
-        c, d = coefficients[k], coefficients[k + 1]
-        left = c.numerator * d.numerator
-        right = c.denominator * d.denominator * dens[k] * dens[k + 1] * dens[(k + 2) % count]
-        link = _int_cross(crosses[k], crosses[k + 1])
-        if any(left * a != right * b for a, b in zip(link, ints[k + 1])):
-            raise RuntimeError(
-                f"support chain violated its defining condition at link {k + 1}"
-            )
     vectors = tuple(
         _rational_vector(
             [c.numerator * part for part in w], c.denominator * dens[k] * dens[(k + 1) % count]
         )
         for k, (c, w) in enumerate(zip(coefficients, crosses))
     )
-    return SupportBasis(vectors, coefficients)
+    return SupportBasis(vectors, coefficients, chain)
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,9 @@ def support_system(
     or its negative with ``negative_root``; an explicit alpha must square
     exactly to the verdict's alpha_squared, so it is rational only when
     alpha_squared is a perfect square. Odd systems keep alpha as their scale
-    and divide the odd positions by alpha_squared instead.
+    and divide the odd positions by alpha_squared instead. The system is
+    checked against the basis edges on all n conditions, the wrap included,
+    before it is returned; a failure is a bug and raises ``RuntimeError``.
     """
     if not verdict.regular:
         raise IrregularPolygonError(verdict)
@@ -268,7 +262,14 @@ def support_system(
     unscaled = tuple(
         _times(vector, even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
     )
-    return SupportSystem(unscaled, alpha)
+    system = SupportSystem(unscaled, alpha)
+    checked = verify_support(system, basis.edges)
+    if not checked.ok:
+        raise RuntimeError(
+            f"support system failed verification at condition {checked.failed_index}; "
+            "this is a bug"
+        )
+    return system
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .regularity import (
     check_regularity,
     support_basis,
     support_system,
-    verify_support,
 )
 from .scalars import Scalar, _format_scaled, format_scalar, parse_rational, parse_scalar
 from .vectors import ZERO_VEC, Vec3, area_vector
@@ -255,18 +254,12 @@ def derive_report(
         raise ValueError("odd polygons take --negative-root, not an explicit scale")
     basis = support_basis(edges, values)
     system = support_system(basis, verdict, alpha, negative_root)
-    checked = verify_support(system, edges)
-    if not checked.ok:
-        raise RuntimeError(
-            f"support system failed verification at condition {checked.failed_index}; "
-            "this is a bug"
-        )
     support = _support_json(system)
     report["support_system"] = {
         **support,
         "basis_vectors": [vec3_to_json(vector) for vector in basis.vectors],
         "basis_coefficients": [format_scalar(c) for c in basis.coefficients],
-        "verified": checked.ok,
+        "verified": True,
     }
     # The derived vertices are the support vectors: formatted once, then
     # copied so that the two fields share no list or dict.
@@ -279,9 +272,10 @@ def derive_report(
         ],
         "edges": _scaled_rows(derived_edges, derived.scale),
     }
-    # verify_support passed, so scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
-    # every i: the area vector of the unscaled points is the sum of the input
-    # edges over scale**2, and edges taken between closed vertices sum to zero.
+    # support_system checked scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
+    # every i, so the area vector of the unscaled points is the sum of the
+    # input edges over scale**2, and edges taken between closed vertices sum
+    # to zero.
     _analysis(
         block, derived, deltas(derived_edges), "derived_deltas", "derived_generic", ZERO_VEC
     )

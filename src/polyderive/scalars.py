@@ -265,7 +265,7 @@ def _decimal(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _rational_text(value: Fraction) -> str:
+def _rational_text(value: Fraction | int) -> str:
     """``str(value)``, written through :func:`_decimal` when a part is too long for ``str``."""
     try:
         return str(value)
@@ -287,7 +287,7 @@ def format_scalar(value: Scalar | int) -> str | dict[str, str]:
             "b": _rational_text(value.b),
             "d": _rational_text(value.d),
         }
-    return _rational_text(Fraction(value))
+    return _rational_text(value)
 
 
 def parse_scalar(obj: object) -> Scalar:

@@ -527,18 +527,24 @@ class TestIntegerPath:
         assert dens == [2 * p for p in primes]
 
     def test_tampered_determinant_breaks_the_link_it_enters(self):
+        # A doubled delta_j halves c_{j+1} and alternately rescales the rest
+        # of the chain, so condition j + 1 is the first one to break.
         edges = edge_vectors(golden.fixture_polygon("hexagon_regular.json"))
         values = deltas(edges)
+        verdict = check_regularity(values)
         for j in range(len(edges) - 1):
             tampered = values[:j] + (values[j] * 2,) + values[j + 1 :]
-            with pytest.raises(RuntimeError, match=f"at link {j + 1}$"):
-                support_basis(edges, tampered)
+            basis = support_basis(edges, tampered)
+            with pytest.raises(RuntimeError, match=f"at condition {j + 1}; this is a bug$"):
+                support_system(basis, verdict, Fraction(1))
 
     def test_tampered_chain_vector_breaks_its_first_link(self, monkeypatch):
         # The first n int cross products are the chain's W_k, in order; the
-        # link re-check must catch a doubled W_j at the first link it enters.
+        # check in support_system must catch a doubled W_j at the first
+        # condition it enters.
         edges = edge_vectors(golden.fixture_polygon("pentagon.json"))
         values = deltas(edges)
+        verdict = check_regularity(values)
         real = regularity._int_cross
         for j in range(len(edges)):
             calls = itertools.count()
@@ -548,8 +554,9 @@ class TestIntegerPath:
                 return tuple(2 * part for part in product) if next(calls) == j else product
 
             monkeypatch.setattr(regularity, "_int_cross", tampered)
-            with pytest.raises(RuntimeError, match=f"at link {max(j, 1)}$"):
-                support_basis(edges, values)
+            basis = support_basis(edges, values)
+            with pytest.raises(RuntimeError, match=f"at condition {max(j, 1)}; this is a bug$"):
+                support_system(basis, verdict)
 
     @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
     def test_tampered_system_vector_fails_its_first_condition(self, name, alpha):
@@ -575,6 +582,34 @@ class TestIntegerPath:
         )
         check = verify_support(SupportSystem(rescaled, system.alpha), edges)
         assert check == SupportCheck(False, len(edges))
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_build_support_system_checks_the_wrap(self, n, monkeypatch):
+        # Tripling odd positions (1-based) and dividing even ones by three
+        # keeps every link of an odd chain; only the wrap, where two odd
+        # positions meet, breaks.
+        edges = edge_vectors(regular_odd_polygon(random.Random(n), n))
+        real = regularity._times
+
+        def rescaled(vector, factor, calls=itertools.count()):
+            return real(vector, factor * (Fraction(1, 3) if next(calls) % 2 else 3))
+
+        monkeypatch.setattr(regularity, "_times", rescaled)
+        with pytest.raises(RuntimeError, match=f"at condition {len(edges)}; this is a bug$"):
+            build_support_system(edges)
+
+    @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
+    def test_build_support_system_checks_every_scaled_vector(self, name, alpha, monkeypatch):
+        edges = edge_vectors(golden.fixture_polygon(name))
+        real = regularity._times
+        for j in range(len(edges)):
+
+            def corrupted(vector, factor, j=j, calls=itertools.count()):
+                return real(vector, factor * 2 if next(calls) == j else factor)
+
+            monkeypatch.setattr(regularity, "_times", corrupted)
+            with pytest.raises(RuntimeError, match=f"at condition {max(j, 1)}; this is a bug$"):
+                build_support_system(edges, alpha)
 
     def test_support_basis_and_verify_support_make_no_fraction_products(self, monkeypatch):
         edges = edge_vectors(golden.fixture_polygon("pentagon.json"))

@@ -182,8 +182,9 @@ class TestDerivabilityDefect:
             derivability_defect(vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_sums_the_edges_once(self, monkeypatch):
-        # One closure sum (6) and the vertex chain (5); the area vector sums
-        # int cross products, not vectors.
+        # One vertex chain over all six edges, whose last point is the
+        # closure residue; the area vector sums int cross products, not
+        # vectors.
         calls = []
         add = Vec3.__add__
 
@@ -193,7 +194,7 @@ class TestDerivabilityDefect:
 
         monkeypatch.setattr(Vec3, "__add__", counted)
         derivability_defect(golden.STRONGLY_REGULAR_HEXAGON_EDGES)
-        assert len(calls) == 11
+        assert len(calls) == 6
 
     def test_matches_anchored_area_vector(self):
         # Independent oracle: the defining sum of cross(v_i, v_j) over pairs

@@ -1,0 +1,123 @@
+"""Dump the CLI's output on a fixed corpus, for byte-identity checks.
+
+Usage::
+
+    python3 tools/identity.py TREE OUT
+
+imports ``polyderive`` from ``TREE/src`` and runs ``cli.main`` in-process on
+``check``, ``analyze``, ``derive`` and ``plot`` of the fixtures and of seeded
+``bench/inputs`` corpora (regular odd polygons, generic quadrangles, lifted
+hexagons and some irregular inputs), on ``generate`` for every kind and
+seeds 0-4, and on ``verify --suite all --samples 3`` for seeds 0-299.
+Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
+every fourth input also runs with ``--float-check``. The exit code, stdout
+and stderr of each run go to ``OUT/reports.txt`` and ``OUT/verify.txt``.
+Two trees write the same bytes exactly when their CLI behaves the same::
+
+    python3 tools/identity.py PARENT id_parent
+    python3 tools/identity.py . id_change
+    cmp id_parent/reports.txt id_change/reports.txt
+    cmp id_parent/verify.txt id_change/verify.txt
+
+The corpora come from this checkout's ``bench/inputs.py``, so both trees
+read the same inputs. Input files are written under ``OUT`` and named by
+relative paths, because reports echo the path they read.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import shutil
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+VERIFY_SEEDS = range(300)
+GENERATE_KINDS = ("quad", "pentagon", "hexagon-lift", "alt-sign")
+
+
+def corpus() -> list[tuple[str, str]]:
+    """(name, polygon JSON) for the seeded inputs, in a fixed order."""
+    import inputs
+
+    rng = random.Random(20201015)
+    drawn = []
+    for n, count in ((21, 16), (5, 40), (7, 20)):
+        drawn += [(f"odd{n}", inputs.regular_odd_polygon(rng, n)) for _ in range(count)]
+    drawn += [("quad", inputs.generic_polygon(rng, 4)) for _ in range(20)]
+    drawn += [("hexlift", inputs.lifted_hexagon(rng)) for _ in range(20)]
+    # Generic pentagons and hexagons, most of them irregular: the failure path.
+    drawn += [("generic5", inputs.generic_polygon(rng, 5)) for _ in range(10)]
+    drawn += [("generic6", inputs.generic_polygon(rng, 6)) for _ in range(10)]
+    return [
+        (f"{kind}_{i:03d}.json", inputs.polygon_json(points))
+        for i, (kind, points) in enumerate(drawn)
+    ]
+
+
+def run(main, argv: list[str], sink) -> None:
+    """Run the CLI once and append its exit code, stdout and stderr to ``sink``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    sink.write(f"=== {' '.join(argv)}\nexit {code}\n--- stdout\n{out.getvalue()}")
+    sink.write(f"--- stderr\n{err.getvalue()}")
+
+
+def polygon_runs(path: str, n: int, float_check: bool) -> list[list[str]]:
+    import inputs
+
+    flag = ["--float-check"] if float_check else []
+    if n % 2:
+        derives = [["derive", path, *flag], ["derive", path, "--negative-root", *flag]]
+    else:
+        derives = [["derive", path, f"--alpha={alpha}", *flag] for alpha in inputs.ALPHAS]
+    return [["check", path, *flag], ["analyze", path, *flag], *derives]
+
+
+def main(tree: str, out: str) -> int:
+    tree_src = Path(tree).resolve() / "src"
+    sys.path[:0] = [str(tree_src), str(BENCH)]
+    from polyderive import cli
+
+    if Path(cli.__file__).resolve().parent.parent != tree_src:
+        raise SystemExit(f"polyderive was imported from {cli.__file__}, not {tree_src}")
+    target = Path(out)
+    target.mkdir(parents=True, exist_ok=True)
+    shutil.copytree(Path(tree) / "fixtures", target / "fixtures", dirs_exist_ok=True)
+    (target / "inputs").mkdir(exist_ok=True)
+    files = []
+    for fixture in sorted((target / "fixtures").glob("*.json")):
+        files.append(f"fixtures/{fixture.name}")
+    for name, text in corpus():
+        (target / "inputs" / name).write_text(text)
+        files.append(f"inputs/{name}")
+    # Reports echo the relative path they read, the same for both trees.
+    with contextlib.chdir(target):
+        with open("reports.txt", "w") as sink:
+            for index, path in enumerate(files):
+                n = len(json.loads(Path(path).read_text())["vertices"])
+                for argv in polygon_runs(path, n, index % 4 == 0):
+                    run(cli.main, argv, sink)
+                if path.startswith("fixtures/"):
+                    run(cli.main, ["plot", path], sink)
+            for kind in GENERATE_KINDS:
+                for seed in range(5):
+                    run(cli.main, ["generate", "--kind", kind, "--seed", str(seed)], sink)
+        with open("verify.txt", "w") as sink:
+            for seed in VERIFY_SEEDS:
+                argv = ["verify", "--suite", "all", "--samples", "3", "--seed", str(seed)]
+                run(cli.main, argv, sink)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))
