@@ -40,6 +40,8 @@ from .suites import SUITES, run_suite
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+_quote = json.encoder.encode_basestring_ascii
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 def _load_payload(path: str) -> dict:
@@ -52,13 +54,40 @@ def _load_payload(path: str) -> dict:
         raise PolygonFormatError(
             f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         )
+    except (RecursionError, ValueError) as exc:  # deep nesting, non-UTF-8, a huge int literal
+        raise PolygonFormatError(f"{path} cannot be read as JSON: {exc}")
     if not isinstance(payload, dict):
         raise PolygonFormatError(f"{path} must hold a JSON object")
     return payload
 
 
+def _json(value: object, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` at indent ``pad``, without the stdlib's Python encoder."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict or kind is list or kind is tuple:
+        brackets = "{}" if kind is dict else "[]"
+        if not value:
+            return brackets
+        inner = pad + "  "
+        if kind is dict:
+            items = [_quote(key) + ": " + _json(item, inner) for key, item in value.items()]
+        else:
+            items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
+        text = (",\n" + inner).join(items)
+        return f"{brackets[0]}\n{inner}{text}\n{pad}{brackets[1]}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return "NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(document: dict | str, out: str | None = None) -> None:
-    text = document if isinstance(document, str) else json.dumps(document, indent=2) + "\n"
+    text = document if isinstance(document, str) else _json(document, "") + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)

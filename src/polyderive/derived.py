@@ -103,20 +103,21 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
 
     Triangles are trivially planar. A derived polygon is tested on its
     unscaled points, which are coplanar exactly when the vertices are, so the
-    check runs over the rationals for either parity. It runs on the points'
-    int triples: each offset from the first point is an int triple over a
-    positive denominator, a scale that keeps every witness nonzero.
+    check runs over the rationals for either parity, on int triples made up to
+    the witness only: each offset from the first point is an int triple over
+    a positive denominator, a scale that keeps every witness nonzero.
     """
     points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
     if len(points) < 4:
         return PlanarityReport(True)
-    ints, dens = _integer_coordinates(points)
+    ints, dens = _integer_coordinates(points[:3])
     base, low = ints[0], dens[0]
     span_a, _ = _int_difference(base, low, ints[1], dens[1])
     span_b, _ = _int_difference(base, low, ints[2], dens[2])
     normal = _int_cross(span_a, span_b)
-    for k in range(3, len(ints)):
-        (x, y, z), _ = _int_difference(base, low, ints[k], dens[k])
+    for k in range(3, len(points)):
+        (point,), (den,) = _integer_coordinates(points[k : k + 1])
+        (x, y, z), _ = _int_difference(base, low, point, den)
         if normal[0] * x + normal[1] * y + normal[2] * z:
             return PlanarityReport(False, k + 1)
     return PlanarityReport(True)

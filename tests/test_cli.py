@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import FIXTURES_DIR, det3, read_long
 from polyderive import (
@@ -560,3 +564,67 @@ class TestPlot:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+# Files the JSON reader rejects before any polygon is read.
+UNREADABLE_FILES = {
+    "deep-nesting": b"[" * 100_000,
+    "long-int-literal": b'{"vertices": [[' + b"1" * 5000 + b", 0, 0]]}",
+    "not-utf-8": b'{"vertices": "\xff\xfe"}',
+}
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command", ["check", "plot"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path, name, command):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNREADABLE_FILES[name])
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} cannot be read as JSON: ")
+        assert err.count("\n") == 1
+
+
+# Non-ASCII and control characters, and lone surrogates, which ``characters()`` leaves out.
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]))
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**4000) + 1, 10**4000 - 1)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | TEXT
+    | st.sampled_from([[], {}, ()])
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    """``_emit`` writes reports itself, in the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(TEXT, TREES, max_size=4))
+    def test_same_bytes_as_json_dumps(self, document):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(document)
+        assert out.getvalue() == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "document",
+        [{1: "a"}, {"a": [{"b": Fraction(1, 2)}]}],
+        ids=["int-key", "fraction-value"],
+    )
+    def test_other_types_raise(self, capsys, document):
+        with pytest.raises(TypeError):
+            cli._emit(document)
+        assert capsys.readouterr().out == ""

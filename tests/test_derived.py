@@ -14,6 +14,7 @@ from polyderive import (
     GenConfig,
     HexType,
     NonGenericPolygonError,
+    PlanarityReport,
     Polygon,
     SupportSystem,
     Vec3,
@@ -84,6 +85,22 @@ class TestPlanarity:
 
     def test_triangles_are_trivially_planar(self):
         assert is_planar(DerivedPolygon(vecs((0, 0, 0), (1, 0, 0), (0, 1, 5)))).planar
+
+    def test_points_are_converted_only_up_to_the_witness(self, monkeypatch):
+        import polyderive.derived
+
+        original = polyderive.derived._integer_coordinates
+        converted = []
+
+        def counted(vectors):
+            converted.extend(vectors)
+            return original(vectors)
+
+        monkeypatch.setattr(polyderive.derived, "_integer_coordinates", counted)
+        # Points on the moment curve (k, k^2, k^3): no four are coplanar.
+        moment = Polygon(vecs(*((k, k * k, k**3) for k in range(21))))
+        assert is_planar(moment) == PlanarityReport(False, 4)
+        assert len(converted) == 4
 
 
 class TestDerivedDeltas:

@@ -10,8 +10,11 @@ imports ``polyderive`` from ``TREE/src`` and runs ``cli.main`` in-process on
 hexagons and some irregular inputs), on ``generate`` for every kind and
 seeds 0-4, and on ``verify --suite all --samples 3`` for seeds 0-299.
 Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
-every fourth input also runs with ``--float-check``. The exit code, stdout
-and stderr of each run go to ``OUT/reports.txt`` and ``OUT/verify.txt``.
+every fourth input also runs with ``--float-check``. Each ``generate`` runs
+again as ``generate --out FILE`` and ``plot FILE --out FILE2``, so that the
+bytes written to files are compared too. The exit code, stdout and stderr of
+each run go to ``OUT/reports.txt`` and ``OUT/verify.txt``, and the files the
+``--out`` runs write are appended to ``OUT/reports.txt``.
 Two trees write the same bytes exactly when their CLI behaves the same::
 
     python3 tools/identity.py PARENT id_parent
@@ -92,6 +95,7 @@ def main(tree: str, out: str) -> int:
     target.mkdir(parents=True, exist_ok=True)
     shutil.copytree(Path(tree) / "fixtures", target / "fixtures", dirs_exist_ok=True)
     (target / "inputs").mkdir(exist_ok=True)
+    (target / "generated").mkdir(exist_ok=True)
     files = []
     for fixture in sorted((target / "fixtures").glob("*.json")):
         files.append(f"fixtures/{fixture.name}")
@@ -109,7 +113,15 @@ def main(tree: str, out: str) -> int:
                     run(cli.main, ["plot", path], sink)
             for kind in GENERATE_KINDS:
                 for seed in range(5):
-                    run(cli.main, ["generate", "--kind", kind, "--seed", str(seed)], sink)
+                    argv = ["generate", "--kind", kind, "--seed", str(seed)]
+                    run(cli.main, argv, sink)
+                    # The same through the file branch, then plotted to a file.
+                    fixture = f"generated/{kind}_{seed}.json"
+                    plotted = f"generated/{kind}_{seed}.txt"
+                    run(cli.main, [*argv, "--out", fixture], sink)
+                    run(cli.main, ["plot", fixture, "--out", plotted], sink)
+                    for written in (fixture, plotted):
+                        sink.write(f"--- {written}\n{Path(written).read_text()}")
         with open("verify.txt", "w") as sink:
             for seed in VERIFY_SEEDS:
                 argv = ["verify", "--suite", "all", "--samples", "3", "--seed", str(seed)]
