@@ -54,8 +54,13 @@ def _load_payload(path: str) -> dict:
         raise PolygonFormatError(
             f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         )
-    except (RecursionError, ValueError) as exc:  # deep nesting, non-UTF-8, a huge int literal
+    except (RecursionError, UnicodeDecodeError) as exc:  # deep nesting, non-UTF-8
         raise PolygonFormatError(f"{path} cannot be read as JSON: {exc}")
+    except ValueError:  # an integer literal longer than int() reads
+        raise PolygonFormatError(
+            f"{path} cannot be read as JSON: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for a coordinate"
+        )
     if not isinstance(payload, dict):
         raise PolygonFormatError(f"{path} must hold a JSON object")
     return payload

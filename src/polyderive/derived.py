@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .polygon import NonGenericPolygonError, Polygon, deltas, edge_vectors
+from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, edge_vectors
 from .regularity import (
     SupportSystem,
+    _support_basis,
     build_support_system,
     check_regularity,
-    support_basis,
     support_system,
 )
 from .scalars import Scalar, _scaled_values
@@ -128,7 +128,8 @@ def derived_deltas(polygon: DerivedPolygon) -> tuple[Scalar, ...]:
 
     They are ``scale**3`` times those of the unscaled edges.
     """
-    return tuple(_scaled_values(deltas(polygon.unscaled_edges), polygon.scale, 3))
+    values = _deltas(_edges(_integer_coordinates(polygon.unscaled)))
+    return tuple(_scaled_values(values, polygon.scale, 3))
 
 
 def strongly_regular_check(delta_values: Sequence[Scalar]) -> bool:
@@ -247,14 +248,15 @@ def second_derivative_type(
     The first derivative of a regular hexagon is strongly regular, hence
     itself regular, so the second derivative exists for any nonzero scale.
     A non-regular intermediate therefore signals a bug or a degenerate input
-    and raises. The intermediate's determinants serve its type and the next chain.
+    and raises. The intermediate's determinants, on its edges (scale one),
+    serve its type and the next chain.
     """
-    first_edges = derive(build_support_system(edges, alpha=alpha1)).edges
-    first_values = deltas(first_edges)
+    first_edges = _edges(_integer_coordinates(build_support_system(edges, alpha=alpha1).unscaled))
+    first_values = _deltas(first_edges)
     first_type = hex_type(first_values)
-    basis = support_basis(first_edges, first_values)
+    basis = _support_basis(first_edges, first_values)
     second = derive(support_system(basis, check_regularity(first_values), alpha2))
-    second_values = deltas(second.edges)
+    second_values = derived_deltas(second)
     second_type = hex_type(second_values)
     return SecondDerivativeResult(first_type, second_type, first_values, second_values)
 

@@ -16,6 +16,7 @@ from .scalars import Scalar, format_scalar
 from .vectors import (
     ZERO_VEC,
     Vec3,
+    _Form,
     _int_det,
     _int_difference,
     _integer_coordinates,
@@ -61,31 +62,32 @@ class Polygon:
 
 
 def edge_vectors(polygon: Polygon) -> tuple[Vec3, ...]:
-    """Differences of consecutive vertices, cyclically; they sum to zero.
+    """Differences of consecutive vertices, cyclically; they sum to zero."""
+    return tuple(map(_rational_vector, *_edges(_integer_coordinates(polygon.vertices))))
 
-    They are taken on the vertices' int triples, each pair over the LCM of
-    its two denominators.
-    """
-    points, dens = _integer_coordinates(polygon.vertices)
-    count = len(points)
-    return tuple(
-        _rational_vector(*_int_difference(points[i], dens[i], points[j], dens[j]))
-        for i, j in zip(range(count), (*range(1, count), 0))
-    )
+
+def _edges(points: _Form) -> _Form:
+    """:func:`edge_vectors` in the int form."""
+    ints, dens = points
+    pairs = map(_int_difference, ints, dens, (*ints[1:], ints[0]), (*dens[1:], dens[0]))
+    return tuple(zip(*pairs))
 
 
 def deltas(edges: Sequence[Vec3]) -> tuple[Scalar, ...]:
-    """Corner determinants: mixed(v_i, v_{i+1}, v_{i+2}) cyclically.
+    """Corner determinants: mixed(v_i, v_{i+1}, v_{i+2}) cyclically."""
+    return _deltas(_integer_coordinates(tuple(edges)))
 
-    With the edges as int triples E_i over their own denominators m_i, each
-    is ``Fraction(D_i, m_i m_{i+1} m_{i+2})`` for the integer determinant D_i
-    of E_i, E_{i+1}, E_{i+2}.
+
+def _deltas(edges: _Form) -> tuple[Fraction, ...]:
+    """:func:`deltas` of edges E_i / m_i in the int form.
+
+    Each is ``Fraction(D_i, m_i m_{i+1} m_{i+2})`` for the integer
+    determinant D_i of E_i, E_{i+1}, E_{i+2}.
     """
-    chain = tuple(edges)
-    count = len(chain)
+    ints, dens = edges
+    count = len(ints)
     if count < 3:
         raise ValueError("corner determinants need at least three edges")
-    ints, dens = _integer_coordinates(chain)
     result = []
     for i in range(count):
         j, k = (i + 1) % count, (i + 2) % count

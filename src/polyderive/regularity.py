@@ -11,20 +11,22 @@ quadratic extension of the rationals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polygon import NonGenericPolygonError, deltas, ensure_generic
+from .polygon import NonGenericPolygonError, _deltas, ensure_generic
 from .scalars import QuadExt, Scalar, _power, format_scalar
 from .vectors import (
     Vec3,
+    _Form,
+    _cleared,
     _int_cross,
     _integer_coordinates,
     _rational_vector,
-    _times,
     cross,
     mixed,
     scaled,
@@ -71,10 +73,7 @@ class IrregularPolygonError(ValueError):
 
 def _product(values: Sequence[Fraction]) -> tuple[int, int]:
     """Unreduced int numerator and denominator of a product of rationals."""
-    return (
-        math.prod(value.numerator for value in values),
-        math.prod(value.denominator for value in values),
-    )
+    return math.prod(v.numerator for v in values), math.prod(v.denominator for v in values)
 
 
 def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
@@ -92,27 +91,14 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
             raise NonGenericPolygonError(f"corner determinant {i + 1} is zero")
     odd_num, odd_den = _product(values[0::2])
     even_num, even_den = _product(values[1::2])
-    odd_product = Fraction(odd_num, odd_den)
-    even_product = Fraction(even_num, even_den)
+    products = Fraction(odd_num, odd_den), Fraction(even_num, even_den)
     if len(values) % 2 == 0:
         evidence = Fraction(odd_num * even_den - even_num * odd_den, odd_den * even_den)
-        return RegularityVerdict(
-            regular=not evidence,
-            parity="even",
-            evidence=evidence,
-            odd_product=odd_product,
-            even_product=even_product,
-        )
+        return RegularityVerdict(not evidence, "even", evidence, *products)
     evidence = Fraction(odd_num * even_num, odd_den * even_den)
     regular = evidence > 0
-    return RegularityVerdict(
-        regular=regular,
-        parity="odd",
-        evidence=evidence,
-        odd_product=odd_product,
-        even_product=even_product,
-        alpha_squared=Fraction(odd_num * even_den, odd_den * even_num) if regular else None,
-    )
+    alpha_squared = Fraction(odd_num * even_den, odd_den * even_num) if regular else None
+    return RegularityVerdict(regular, "odd", evidence, *products, alpha_squared)
 
 
 @dataclass(frozen=True)
@@ -120,14 +106,19 @@ class SupportBasis:
     """Unscaled support chain: vectors[k] = coefficients[k] * cross(v_k, v_{k+1}).
 
     The chain starts at cross(v_1, v_2) with coefficient one and is then
-    forced link by link by the adjacent cross-product conditions. ``edges``
-    are the v_k it was built from, against which :func:`support_system`
-    checks the scaled system.
+    forced link by link by the adjacent cross-product conditions. The chain
+    and the edges v_k it was built from are held in the int form, against
+    which :func:`support_system` scales and checks the system.
     """
 
-    vectors: tuple[Vec3, ...]
     coefficients: tuple[Scalar, ...]
-    edges: tuple[Vec3, ...]
+    _chain: _Form
+    _edges: _Form
+
+    @cached_property
+    def vectors(self) -> tuple[Vec3, ...]:
+        """The chain vectors b_k themselves."""
+        return tuple(map(_rational_vector, *self._chain))
 
 
 def support_basis(
@@ -149,12 +140,16 @@ def support_basis(
     :func:`support_system` checks them, with the wrap, on the scaled
     system. Each returned value is reduced once.
     """
-    chain = tuple(edges)
-    values = tuple(delta_values) if delta_values is not None else deltas(chain)
+    form = _integer_coordinates(tuple(edges))
+    return _support_basis(form, _deltas(form) if delta_values is None else tuple(delta_values))
+
+
+def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:
+    """:func:`support_basis` of edges in the int form; a zero determinant raises."""
     if not all(values):
-        ensure_generic(chain)
-    count = len(chain)
-    ints, dens = _integer_coordinates(chain)
+        ensure_generic(tuple(map(_rational_vector, *edges)))
+    ints, dens = edges
+    count = len(ints)
     crosses = [_int_cross(ints[k], ints[(k + 1) % count]) for k in range(count)]
     tops, bottoms = [1], [1]
     for k in range(count - 1):
@@ -163,14 +158,12 @@ def support_basis(
         top, bottom = (bottoms[k] // g) * (q // h), (tops[k] // h) * (p // g)
         tops.append(top if bottom > 0 else -top)
         bottoms.append(abs(bottom))
+    chain = [
+        _cleared(w, bottom * dens[k] * dens[(k + 1) % count], top)
+        for k, (top, bottom, w) in enumerate(zip(tops, bottoms, crosses))
+    ]
     coefficients = tuple(map(Fraction, tops, bottoms))
-    vectors = tuple(
-        _rational_vector(
-            [c.numerator * part for part in w], c.denominator * dens[k] * dens[(k + 1) % count]
-        )
-        for k, (c, w) in enumerate(zip(coefficients, crosses))
-    )
-    return SupportBasis(vectors, coefficients, chain)
+    return SupportBasis(coefficients, tuple(zip(*chain)), tuple(map(tuple, edges)))  # hashable
 
 
 @dataclass(frozen=True)
@@ -237,7 +230,7 @@ def support_system(
             raise ValueError("even polygons take a nonzero rational scale factor")
         if alpha == 0:
             raise ValueError("scale factor must be nonzero")
-        even, odd = alpha, 1 / alpha
+        even, odd, squared = alpha, 1 / alpha, _ONE
     else:
         if alpha is None:
             alpha = QuadExt(0, -1 if negative_root else 1, verdict.alpha_squared)
@@ -254,22 +247,30 @@ def support_system(
             try:
                 square = _power(alpha, 2)[0]
             except ValueError:  # both parts of a + b*sqrt(d) nonzero: an irrational square
-                square = alpha * alpha
+                a, b, d = alpha.a, alpha.b, alpha.d
+                square = QuadExt(a * a + b * b * d, 2 * a * b, d)
             if square != verdict.alpha_squared:
                 expected = verdict.alpha_squared
                 raise ValueError(f"scale factor squared is {square}, expected {expected}")
-        even, odd = _ONE, 1 / verdict.alpha_squared
-    unscaled = tuple(
-        _times(vector, even if k % 2 else odd) for k, vector in enumerate(basis.vectors)
-    )
-    system = SupportSystem(unscaled, alpha)
-    checked = verify_support(system, basis.edges)
+        even, odd, squared = _ONE, 1 / verdict.alpha_squared, verdict.alpha_squared
+    unscaled = _scale(basis._chain, even, odd)
+    checked = _verify_support(unscaled, squared, basis._edges)
     if not checked.ok:
         raise RuntimeError(
             f"support system failed verification at condition {checked.failed_index}; "
             "this is a bug"
         )
-    return system
+    return SupportSystem(tuple(map(_rational_vector, *unscaled)), alpha)
+
+
+def _scale(chain: _Form, even: Fraction, odd: Fraction) -> _Form:
+    """The scaling step of :func:`support_system`: ``even`` times the vectors at
+    even positions (1-based), ``odd`` times the others, in the int form."""
+    scaled = [
+        (point, den) if f == 1 else _cleared(point, f.denominator * den, f.numerator)
+        for f, point, den in zip(itertools.cycle((odd, even)), *chain)
+    ]
+    return tuple(zip(*scaled))
 
 
 @dataclass(frozen=True)
@@ -295,10 +296,14 @@ def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck
     chain = tuple(edges)
     if len(vectors) != len(chain):
         raise ValueError("support system and edge list sizes differ")
-    count = len(chain)
-    points, lows = _integer_coordinates(vectors)
-    ints, dens = _integer_coordinates(chain)
+    return _verify_support(_integer_coordinates(vectors), square, _integer_coordinates(chain))
+
+
+def _verify_support(support: _Form, square: Fraction, edges: _Form) -> SupportCheck:
+    """:func:`verify_support` of unscaled vectors and edges in the int form, with ``scale**2``."""
+    (points, lows), (ints, dens) = support, edges
     s, t = square.numerator, square.denominator
+    count = len(ints)
     for i in range(count):
         j = (i + 1) % count
         product = _int_cross(points[i], points[j])
@@ -328,9 +333,7 @@ def build_support_system(
 
     The scale options are those of :func:`support_system`.
     """
-    chain = tuple(edges)
-    values = deltas(chain)
-    if not all(values):
-        ensure_generic(chain)
-    verdict = check_regularity(values)
-    return support_system(support_basis(chain, values), verdict, alpha, negative_root)
+    form = _integer_coordinates(tuple(edges))
+    values = _deltas(form)
+    basis = _support_basis(form, values)
+    return support_system(basis, check_regularity(values), alpha, negative_root)

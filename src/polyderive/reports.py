@@ -20,22 +20,16 @@ from .derived import (
     strongly_regular_check,
     two_plane_decomposition,
 )
-from .polygon import (
-    NonGenericPolygonError,
-    Polygon,
-    deltas,
-    edge_vectors,
-    is_generic,
-)
+from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, is_generic
 from .regularity import (
     RegularityVerdict,
     SupportSystem,
+    _support_basis,
     check_regularity,
-    support_basis,
     support_system,
 )
 from .scalars import Scalar, _format_scaled, format_scalar, parse_rational, parse_scalar
-from .vectors import ZERO_VEC, Vec3, area_vector
+from .vectors import ZERO_VEC, Vec3, _Form, _integer_coordinates, _rational_vector, area_vector
 
 
 class PolygonFormatError(ValueError):
@@ -98,10 +92,10 @@ def polygon_from_json(payload: object) -> Polygon:
 
 def _head(
     command: str, polygon: Polygon, source: str | None
-) -> tuple[dict, tuple[Vec3, ...], tuple[Scalar, ...]]:
-    """A report's command, input summary and genericity, plus the edges and determinants."""
-    edges = edge_vectors(polygon)
-    values = deltas(edges)
+) -> tuple[dict, _Form, tuple[Scalar, ...]]:
+    """A report's command, input summary and genericity, plus the int edges and determinants."""
+    edges = _edges(_integer_coordinates(polygon.vertices))
+    values = _deltas(edges)
     summary = {
         "n": polygon.n,
         "vertices": [vec3_to_json(vertex) for vertex in polygon.vertices],
@@ -116,11 +110,11 @@ def _head(
     return report, edges, values
 
 
-def _genericity_json(edges: Sequence[Vec3], values: Sequence[Scalar]) -> dict:
+def _genericity_json(edges: _Form, values: Sequence[Scalar]) -> dict:
     """Nonzero determinants mean a generic polygon; only a zero one needs the scan."""
     if all(values):
         return {"ok": True}
-    report = is_generic(edges)
+    report = is_generic(tuple(map(_rational_vector, *edges)))
     return {"ok": False, "index": report.index, "kind": report.kind}
 
 
@@ -139,8 +133,8 @@ def _verdict_json(verdict: RegularityVerdict) -> dict:
 
 def _checked(
     command: str, polygon: Polygon, source: str | None
-) -> tuple[dict, tuple[Vec3, ...], tuple[Scalar, ...], RegularityVerdict | None]:
-    """A check report under ``command``, plus the edges, determinants and verdict behind it.
+) -> tuple[dict, _Form, tuple[Scalar, ...], RegularityVerdict | None]:
+    """A check report under ``command``, plus the int edges, determinants and verdict behind it.
 
     The verdict is None when the polygon is not generic.
     """
@@ -252,7 +246,7 @@ def derive_report(
         # support_system reports irregularity, which comes first. It takes any
         # root of alpha_squared; the CLI picks one by sign.
         raise ValueError("odd polygons take --negative-root, not an explicit scale")
-    basis = support_basis(edges, values)
+    basis = _support_basis(edges, values)
     system = support_system(basis, verdict, alpha, negative_root)
     support = _support_json(system)
     report["support_system"] = {
@@ -264,20 +258,20 @@ def derive_report(
     # The derived vertices are the support vectors: formatted once, then
     # copied so that the two fields share no list or dict.
     derived = derive(system)
-    derived_edges = derived.unscaled_edges
+    derived_edges = _edges(_integer_coordinates(system.unscaled))
     block = {
         "vertices": [
             [dict(part) if isinstance(part, dict) else part for part in row]
             for row in support["vectors"]
         ],
-        "edges": _scaled_rows(derived_edges, derived.scale),
+        "edges": _scaled_rows(tuple(map(_rational_vector, *derived_edges)), derived.scale),
     }
     # support_system checked scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
     # every i, so the area vector of the unscaled points is the sum of the
     # input edges over scale**2, and edges taken between closed vertices sum
     # to zero.
     _analysis(
-        block, derived, deltas(derived_edges), "derived_deltas", "derived_generic", ZERO_VEC
+        block, derived, _deltas(derived_edges), "derived_deltas", "derived_generic", ZERO_VEC
     )
     if polygon.n == 6 and block.get("strongly_regular"):
         _type_fields(block, values, "input_")

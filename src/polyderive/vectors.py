@@ -2,10 +2,10 @@
 
 Vectors with :class:`~polyderive.scalars.QuadExt` components exist only as
 the views of a scaled polygon (:func:`scaled`); the products take rational
-vectors. They clear denominators once (:func:`_integer_coordinates`, each
-vector over its own denominator) and run on Python ints; the private int
-helpers let the polygon stages run a whole vector list on ints and reduce
-only the values they return.
+vectors. The exact stages hand each other vector lists in one int form,
+``(points, dens)``: vector k is ``points[k] / dens[k]``, with ``dens[k] > 0``
+and ``gcd(x, y, z, dens[k]) = 1``. They compute on these ints and reduce only
+the values they return.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def _component(value: object) -> Fraction:
 
 
 ZERO_VEC = Vec3(Fraction(0), Fraction(0), Fraction(0))
+_Form = tuple[Sequence[tuple[int, int, int]], Sequence[int]]
 
 
 def scaled(vectors: Sequence[Vec3], scale: Scalar) -> tuple[Vec3, ...]:
@@ -80,15 +81,11 @@ def dot(a: Vec3, b: Vec3) -> Scalar:
     return a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def _integer_coordinates(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """``(points, dens)`` with ``vectors[k] = points[k] / dens[k]``: int triples.
+def _integer_coordinates(vectors: Sequence[Vec3]) -> _Form:
+    """The int form of rational vectors, each over the LCM of its own three denominators.
 
-    Each vector is cleared over the LCM of its own three denominators, so the
-    ints stay as small as the vector's own entries whatever the other vectors
-    of a list hold. Cross and mixed products are homogeneous, so they run on
-    the int triples and divide once by the product of the denominators;
-    ``Fraction(num, den)`` reduces to the same lowest terms as componentwise
-    Fraction arithmetic. A component that is not a ``Fraction`` raises
+    The ints stay as small as the vector's own entries whatever the other
+    vectors of a list hold. A component that is not a ``Fraction`` raises
     ``TypeError``.
     """
     points, dens = [], []
@@ -109,19 +106,32 @@ def _integer_coordinates(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, 
     return points, dens
 
 
-def _int_sub(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+def _cleared(v: Sequence[int], den: int, top: int = 1) -> tuple[tuple[int, int, int], int]:
+    """``top * v / den`` in the int form, for ``den > 0``, cancelled crosswise.
+
+    As in a Fraction product, ``v`` and ``den`` are cancelled first, then
+    ``top`` and what is left of ``den``, so that each gcd runs on the
+    smallest ints.
+    """
+    c = math.gcd(den, *v)
+    h = math.gcd(top, den // c)
+    t = top // h
+    return (t * (v[0] // c), t * (v[1] // c), t * (v[2] // c)), den // c // h
 
 
 def _int_difference(
     a: tuple[int, int, int], da: int, b: tuple[int, int, int], db: int
 ) -> tuple[tuple[int, int, int], int]:
-    """``b / db - a / da`` as an int triple over the LCM of the two denominators."""
-    if da == db:
-        return _int_sub(b, a), da
+    """``b / db - a / da`` in the int form, for two vectors in it, over the LCM.
+
+    A prime dividing one denominator more often than the other cannot divide
+    all three numerators, so only a factor of gcd(da, db) can cancel.
+    """
     g = math.gcd(da, db)
     sa, sb = db // g, da // g
-    return (b[0] * sb - a[0] * sa, b[1] * sb - a[1] * sa, b[2] * sb - a[2] * sa), sb * db
+    v = (b[0] * sb - a[0] * sa, b[1] * sb - a[1] * sa, b[2] * sb - a[2] * sa)
+    c = math.gcd(g, *v)
+    return (v[0] // c, v[1] // c, v[2] // c), sb * db // c
 
 
 def _int_cross(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -140,23 +150,6 @@ def _int_det(a: tuple[int, int, int], b: tuple[int, int, int], c: tuple[int, int
 def _rational_vector(v: tuple[int, int, int], den: int) -> Vec3:
     """The public form of ``v / den``: each component reduced once to lowest terms."""
     return Vec3(Fraction(v[0], den), Fraction(v[1], den), Fraction(v[2], den))
-
-
-def _times(v: Vec3, factor: Fraction) -> Vec3:
-    """``factor * v`` for a rational vector, one reduction per component.
-
-    Common factors are cancelled crosswise first, as in a Fraction product,
-    so that the reduction runs on the smallest ints.
-    """
-    if factor == 1:
-        return v
-    num, den = factor.numerator, factor.denominator
-    parts = []
-    for c in v:
-        top, bottom = c.numerator, c.denominator
-        g, h = math.gcd(top, den), math.gcd(num, bottom)
-        parts.append(Fraction((top // g) * (num // h), (bottom // h) * (den // g)))
-    return Vec3(*parts)
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:

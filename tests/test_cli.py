@@ -586,6 +586,20 @@ class TestUnreadableFiles:
         assert err.startswith(f"error: {path} cannot be read as JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "plot"])
+    def test_long_int_literal_names_the_coordinate_limit(self, capsys, tmp_path, command):
+        # The interpreter's advice to raise its digit limit is no use at the
+        # command line; the error names the limit a coordinate has instead.
+        path = tmp_path / "long.json"
+        path.write_bytes(UNREADABLE_FILES["long-int-literal"])
+        code, _out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert err == (
+            f"error: {path} cannot be read as JSON: an integer literal has more than "
+            "4300 digits, the limit for a coordinate\n"
+        )
+        assert "set_int_max_str_digits" not in err
+
 
 # Non-ASCII and control characters, and lone surrogates, which ``characters()`` leaves out.
 TEXT = st.text(st.characters() | st.characters(categories=["Cs"]))

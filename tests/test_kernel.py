@@ -18,8 +18,10 @@ edges, area vector and determinants computed on those pairs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -47,6 +49,8 @@ from polyderive import (
     support_system,
     verify_support,
 )
+from polyderive import derived as derived_module
+from polyderive import polygon as polygon_module
 from polyderive import regularity, reports, scalars, vectors
 from polyderive.reports import derive_report, vec3_to_json
 from polyderive.scalars import _format_scaled, _scaled_values, format_scalar
@@ -391,7 +395,6 @@ path_rationals = st.one_of(
         st.sampled_from([-1, -3, -(2**61 - 1), -(10**25 + 13), 5**20, 2**64 * 3]),
     ),
 )
-path_vectors = st.builds(Vec3, path_rationals, path_rationals, path_rationals)
 
 
 def zero_area_points(points, shift, tail):
@@ -428,16 +431,18 @@ def zero_area_points(points, shift, tail):
 
 
 @st.composite
-def regular_polygons(draw, n):
+def regular_polygons(draw, n, parts=path_rationals):
     """A regular n-gon, built as the integral of a zero-area polygon.
 
     Edges cross(u_{i-1}, u_i) of points u with zero area vector close up, and
-    u is a support system of the polygon they bound.
+    u is a support system of the polygon they bound. The points are drawn
+    from ``parts``.
     """
+    points = st.builds(Vec3, parts, parts, parts)
     support = zero_area_points(
-        draw(st.lists(path_vectors, min_size=n - 2, max_size=n - 2)),
-        draw(st.tuples(path_rationals, path_rationals, path_rationals)),
-        draw(path_rationals),
+        draw(st.lists(points, min_size=n - 2, max_size=n - 2)),
+        draw(st.tuples(parts, parts, parts)),
+        draw(parts),
     )
     assume(support is not None)
     edges = [Vec3(*ref_cross(support[i - 1], support[i])) for i in range(n)]
@@ -460,6 +465,48 @@ def reference_chain(edges):
 
 
 PATH_SETTINGS = settings(max_examples=8, deadline=None)
+
+
+def primes(start, count):
+    """The first ``count`` primes from ``start`` on, by trial division."""
+    found = []
+    while len(found) < count:
+        if all(start % p for p in range(2, math.isqrt(start) + 1)):
+            found.append(start)
+        start += 1
+    return found
+
+
+# 6- and 7-digit primes: denominators that share no factor, so clearing a
+# whole list at once and clearing each vector give different ints.
+PRIMES = primes(100_000, 24) + primes(1_000_000, 24)
+prime_rationals = st.builds(Fraction, st.integers(-(10**7), 10**7), st.sampled_from(PRIMES))
+
+
+@st.composite
+def coprime_polygons(draw, n):
+    """A regular n-gon whose coordinates have 6- and 7-digit prime denominators.
+
+    Odd n: 3n coordinates over distinct primes, mirrored in z when the
+    determinant product is negative. Even n: the integral of zero-area
+    points drawn over those primes.
+    """
+    if n % 2 == 0:
+        return draw(regular_polygons(n, prime_rationals))
+    dens = iter(draw(st.permutations(PRIMES)))
+    tops = iter(draw(st.lists(st.integers(-(10**7), 10**7), min_size=3 * n, max_size=3 * n)))
+    polygon = Polygon(
+        tuple(Vec3(*(Fraction(next(tops), next(dens)) for _ in range(3))) for _ in range(n))
+    )
+    values = deltas(edge_vectors(polygon))
+    assume(all(values))
+    return mirror(polygon) if math.prod(values) < 0 else polygon
+
+
+def as_form(rows):
+    """An int form as lists, the shape ``_integer_coordinates`` returns."""
+    points, dens = rows
+    return list(points), list(dens)
 
 
 class TestIntegerPath:
@@ -516,6 +563,53 @@ class TestIntegerPath:
         assert derived_deltas(derived) == expected
         for value in (*deltas(edges), *basis.coefficients, *derived.unscaled_edges[0]):
             assert type(value) is Fraction
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    @PATH_SETTINGS
+    @given(data=st.data(), alpha=prime_rationals.filter(bool))
+    def test_every_hand_off_is_the_int_form_of_its_view(self, n, data, alpha):
+        # Each stage hands the next one int triples; they must be exactly the
+        # per-vector clearing of the public Fraction vectors.
+        polygon = data.draw(st.one_of(coprime_polygons(n), regular_polygons(n)))
+        edges = polygon_module._edges(vectors._integer_coordinates(polygon.vertices))
+        assert as_form(edges) == vectors._integer_coordinates(edge_vectors(polygon))
+        values = polygon_module._deltas(edges)
+        assert values == deltas(edge_vectors(polygon))
+        basis = regularity._support_basis(edges, values)
+        assert as_form(basis._chain) == vectors._integer_coordinates(basis.vectors)
+
+        handed = []
+        real = regularity._verify_support
+
+        def spy(support, square, chain):
+            handed.append(support)
+            return real(support, square, chain)
+
+        with mock.patch.object(regularity, "_verify_support", spy):
+            system = support_system(basis, check_regularity(values), None if n % 2 else alpha)
+        assert as_form(handed[0]) == vectors._integer_coordinates(system.unscaled)
+        derived_edges = polygon_module._edges(vectors._integer_coordinates(system.unscaled))
+        assert as_form(derived_edges) == vectors._integer_coordinates(
+            derive(system).unscaled_edges
+        )
+
+    def test_a_derive_report_clears_two_full_lists(self, monkeypatch):
+        # The input vertices and the unscaled support vectors; every other
+        # stage takes the int form it is handed. is_planar clears the first
+        # three points and then each point up to the witness, here the fourth.
+        polygon = regular_odd_polygon(random.Random(611), 21)
+        real = vectors._integer_coordinates
+        sizes = []
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return real(rows)
+
+        for module in (vectors, polygon_module, regularity, derived_module, reports):
+            monkeypatch.setattr(module, "_integer_coordinates", counted, raising=False)
+        derive_report(polygon)
+        assert sizes.count(21) <= 2
+        assert [size for size in sizes if size != 21] == [3, 1]
 
     def test_each_vector_is_cleared_over_its_own_denominator(self):
         # Coprime denominators must not merge into one list-wide LCM, whose
@@ -589,25 +683,27 @@ class TestIntegerPath:
         # keeps every link of an odd chain; only the wrap, where two odd
         # positions meet, breaks.
         edges = edge_vectors(regular_odd_polygon(random.Random(n), n))
-        real = regularity._times
+        real = regularity._scale
 
-        def rescaled(vector, factor, calls=itertools.count()):
-            return real(vector, factor * (Fraction(1, 3) if next(calls) % 2 else 3))
+        def rescaled(chain, even, odd):
+            return real(chain, even * Fraction(1, 3), odd * 3)
 
-        monkeypatch.setattr(regularity, "_times", rescaled)
+        monkeypatch.setattr(regularity, "_scale", rescaled)
         with pytest.raises(RuntimeError, match=f"at condition {len(edges)}; this is a bug$"):
             build_support_system(edges)
 
     @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
     def test_build_support_system_checks_every_scaled_vector(self, name, alpha, monkeypatch):
         edges = edge_vectors(golden.fixture_polygon(name))
-        real = regularity._times
+        real = regularity._scale
         for j in range(len(edges)):
 
-            def corrupted(vector, factor, j=j, calls=itertools.count()):
-                return real(vector, factor * 2 if next(calls) == j else factor)
+            def corrupted(chain, even, odd, j=j):
+                points, dens = real(chain, even, odd)
+                doubled = tuple(2 * part for part in points[j])
+                return (*points[:j], doubled, *points[j + 1 :]), dens
 
-            monkeypatch.setattr(regularity, "_times", corrupted)
+            monkeypatch.setattr(regularity, "_scale", corrupted)
             with pytest.raises(RuntimeError, match=f"at condition {max(j, 1)}; this is a bug$"):
                 build_support_system(edges, alpha)
 

@@ -164,7 +164,7 @@ class TestEachStageRunsOncePerDraw:
 
     def test_second_derivative_computes_each_polygons_determinants_once(self, monkeypatch):
         edges = lifted_edges(3)
-        calls = count_calls(monkeypatch, "deltas", polygon, regularity, derived)
+        calls = count_calls(monkeypatch, "_deltas", polygon, regularity, derived)
         second_derivative_type(edges, Fraction(2), Fraction(1, 3))
         assert len(calls) == 3  # the hexagon, its derivative, its second derivative
 

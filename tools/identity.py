@@ -7,8 +7,11 @@ Usage::
 imports ``polyderive`` from ``TREE/src`` and runs ``cli.main`` in-process on
 ``check``, ``analyze``, ``derive`` and ``plot`` of the fixtures and of seeded
 ``bench/inputs`` corpora (regular odd polygons, generic quadrangles, lifted
-hexagons and some irregular inputs), on ``generate`` for every kind and
-seeds 0-4, and on ``verify --suite all --samples 3`` for seeds 0-299.
+hexagons and some irregular inputs), on regular 21-gons with a distinct
+6-digit prime denominator per coordinate (:func:`coprime_polygon`, where
+clearing denominators per vector and per list differ most), on ``generate``
+for every kind and seeds 0-4, and on ``verify --suite all --samples 3`` for
+seeds 0-299.
 Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
 every fourth input also runs with ``--float-check``. Each ``generate`` runs
 again as ``generate --out FILE`` and ``plot FILE --out FILE2``, so that the
@@ -32,14 +35,47 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 import shutil
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 VERIFY_SEEDS = range(300)
 GENERATE_KINDS = ("quad", "pentagon", "hexagon-lift", "alt-sign")
+
+
+def primes(start: int, count: int) -> list[int]:
+    """The first ``count`` primes from ``start`` on, by trial division."""
+    found, candidate = [], start
+    while len(found) < count:
+        if all(candidate % p for p in range(2, math.isqrt(candidate) + 1)):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def coprime_polygon(rng: random.Random, n: int, pool: list[int]) -> list:
+    """Regular odd n-gon whose 3n coordinates have distinct prime denominators.
+
+    Generic by rejection and mirrored in z when the determinant product is
+    negative, as ``inputs.regular_odd_polygon`` does.
+    """
+    from checks import corner_dets, edges_of, is_generic
+
+    while True:
+        dens = iter(rng.sample(pool, 3 * n))
+        points = [
+            tuple(Fraction(rng.randint(-(10**6), 10**6), next(dens)) for _ in range(3))
+            for _ in range(n)
+        ]
+        if is_generic(points):
+            break
+    if math.prod(corner_dets(edges_of(points))) < 0:
+        points = [(x, y, -z) for x, y, z in points]
+    return points
 
 
 def corpus() -> list[tuple[str, str]]:
@@ -55,6 +91,8 @@ def corpus() -> list[tuple[str, str]]:
     # Generic pentagons and hexagons, most of them irregular: the failure path.
     drawn += [("generic5", inputs.generic_polygon(rng, 5)) for _ in range(10)]
     drawn += [("generic6", inputs.generic_polygon(rng, 6)) for _ in range(10)]
+    pool = primes(100_000, 500)
+    drawn += [("coprime21", coprime_polygon(rng, 21, pool)) for _ in range(8)]
     return [
         (f"{kind}_{i:03d}.json", inputs.polygon_json(points))
         for i, (kind, points) in enumerate(drawn)
