@@ -44,6 +44,10 @@ _quote = json.encoder.encode_basestring_ascii
 _INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
+class _UsageError(ValueError):
+    """A setting read outside the argument parser, such as POLYDERIVE_SEED, is malformed."""
+
+
 def _load_payload(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -119,13 +123,14 @@ def _summary(message: str) -> None:
 
 
 def _seed(value: int | None) -> int:
-    """An explicit ``--seed``, else POLYDERIVE_SEED as set when the command runs, else 0."""
+    """An explicit ``--seed``, else the integer POLYDERIVE_SEED when the command runs, else 0."""
     if value is not None:
         return value
+    text = os.environ.get("POLYDERIVE_SEED", "0")
     try:
-        return int(os.environ.get("POLYDERIVE_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise _UsageError(f"POLYDERIVE_SEED must be an integer, got {text!r}") from None
 
 
 def _int_at_least(minimum: int, text: str) -> int:
@@ -295,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PolygonFormatError as exc:
+    except (PolygonFormatError, _UsageError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE
     except (

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, edge_vectors
+from .polygon import Polygon, _deltas, _edges, _nonzero, edge_vectors
 from .regularity import (
     SupportSystem,
     _support_basis,
@@ -137,9 +137,7 @@ def strongly_regular_check(delta_values: Sequence[Scalar]) -> bool:
     values = tuple(delta_values)
     if len(values) != 6:
         raise ValueError("the half-turn determinant check applies to hexagons only")
-    for i, value in enumerate(values):
-        if not value:
-            raise NonGenericPolygonError(f"corner determinant {i + 1} is zero")
+    _nonzero(values, "corner determinant")
     return values[0] == values[3] and values[1] == values[4] and values[2] == values[5]
 
 
@@ -217,7 +215,7 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
     odd = (offset(points[0]), offset(points[2]), offset(points[4]))
     even = (offset(points[1]), offset(points[3]), offset(points[5]))
     projections = tuple(
-        points[k] - (offset(points[k]) / norm_sq) * normal for k in (1, 3, 5)
+        points[k] - (height / norm_sq) * normal for k, height in zip((1, 3, 5), even)
     )
     flattened = [
         points[0],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polygon import NonGenericPolygonError, deltas
+from .polygon import _nonzero, deltas
 from .scalars import Scalar
 from .vectors import ZERO_VEC, Vec3, cross, mixed
 
@@ -50,11 +50,7 @@ def alternating_product_identity(vectors: Sequence[Vec3]) -> tuple[Scalar, Scala
     A zero determinant means the sample was degenerate and should be redrawn.
     """
     values = deltas(_rows(vectors))
-    for position, value in enumerate(values):
-        if not value:
-            raise NonGenericPolygonError(
-                f"row determinant {position + 1} is zero; redraw the sample"
-            )
+    _nonzero(values, "row determinant", "; redraw the sample")
     odd = math.prod(values[0::2], start=Fraction(1))
     even = math.prod(values[1::2], start=Fraction(1))
     return (odd, even)
@@ -84,11 +80,7 @@ def derived_relation_defects(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
         raise OpenSupportError("the six vectors do not support a closed hexagon")
     edges = tuple(chain[(i + 1) % 6] - chain[i] for i in range(6))
     values = deltas(edges)
-    for position, value in enumerate(values):
-        if not value:
-            raise NonGenericPolygonError(
-                f"derived corner determinant {position + 1} is zero"
-            )
+    _nonzero(values, "derived corner determinant")
 
     def sub(i: int, j: int, k: int) -> Scalar:
         return mixed(edges[i - 1], edges[j - 1], edges[k - 1])
@@ -210,6 +202,13 @@ class _Recorder:
                 FloatMismatch(field, f"exact {exact!r} vs float {approx!r}")
             )
 
+    def close_vector(
+        self, field: str, exact: Sequence[float], approx: Floats, scale: float
+    ) -> None:
+        """Compare the three axes, as ``field[0]`` to ``field[2]``, at one ``scale``."""
+        for axis in range(3):
+            self.close(f"{field}[{axis}]", exact[axis], approx[axis], scale)
+
     def small(self, field: str, value: float, scale: float) -> None:
         bound = FLOAT_TOLERANCE * max(1.0, scale)
         if self._in_range(field, value, scale) and abs(value) > bound:
@@ -240,13 +239,7 @@ def _validate_polygon_block(
         exact = _float_rows(block["vertices"])
         scale = max(coord_scale, _magnitude(c for vertex in exact for c in vertex))
         for i in range(n):
-            for axis in range(3):
-                rec.close(
-                    f"{prefix}.vertices[{i + 1}][{axis}]",
-                    exact[i][axis],
-                    verts[i][axis],
-                    scale,
-                )
+            rec.close_vector(f"{prefix}.vertices[{i + 1}]", exact[i], verts[i], scale)
 
     planarity = block.get("planarity")
     if planarity and planarity.get("planar") and n >= 4:
@@ -259,23 +252,14 @@ def _validate_polygon_block(
     if block.get("area_vector") is not None:
         area = _area(verts)
         exact_area = [_as_float(c) for c in block["area_vector"]]
-        for axis in range(3):
-            rec.close(
-                f"{prefix}.area_vector[{axis}]", exact_area[axis], area[axis], coord_scale**2
-            )
+        rec.close_vector(f"{prefix}.area_vector", exact_area, area, coord_scale**2)
 
     if block.get("derivability_defect") is not None:
         defect = _sum(
             _cross(edges[i], edges[j]) for i in range(n - 1) for j in range(i + 1, n - 1)
         )
         exact_defect = [_as_float(c) for c in block["derivability_defect"]]
-        for axis in range(3):
-            rec.close(
-                f"{prefix}.derivability_defect[{axis}]",
-                exact_defect[axis],
-                defect[axis],
-                coord_scale**2,
-            )
+        rec.close_vector(f"{prefix}.derivability_defect", exact_defect, defect, coord_scale**2)
 
     # An analyze report's own "deltas" are the top-level ones, which the
     # caller has already checked.
@@ -307,30 +291,19 @@ def _validate_polygon_block(
                 offset_scale,
             )
         if two_plane.get("offsets_equal"):
-            rec.small(
-                f"{prefix}.two_plane.offsets[1-2]", offsets[0] - offsets[1], offset_scale
-            )
-            rec.small(
-                f"{prefix}.two_plane.offsets[2-3]", offsets[1] - offsets[2], offset_scale
-            )
+            for i in (1, 2):
+                difference = offsets[i - 1] - offsets[i]
+                rec.small(f"{prefix}.two_plane.offsets[{i}-{i + 1}]", difference, offset_scale)
         norm_sq = _dot(normal, normal)
         flat = [
-            verts[0],
-            _sub(verts[1], _scale(offsets[0] / norm_sq, normal)),
-            verts[2],
-            _sub(verts[3], _scale(offsets[1] / norm_sq, normal)),
-            verts[4],
-            _sub(verts[5], _scale(offsets[2] / norm_sq, normal)),
+            _sub(vertex, _scale(offsets[k // 2] / norm_sq, normal)) if k % 2 else vertex
+            for k, vertex in enumerate(verts)
         ]
         area = _area(flat)
         exact_area = [_as_float(value) for value in two_plane["projected_area_vector"]]
-        for axis in range(3):
-            rec.close(
-                f"{prefix}.two_plane.projected_area_vector[{axis}]",
-                exact_area[axis],
-                area[axis],
-                coord_scale**2,
-            )
+        rec.close_vector(
+            f"{prefix}.two_plane.projected_area_vector", exact_area, area, coord_scale**2
+        )
 
 
 def float_cross_validate(report: dict) -> FloatValidation:
@@ -399,13 +372,9 @@ def _rerun(rec: _Recorder, report: dict) -> None:
             c for rows in (system_verts, exact_vectors) for row in rows for c in row
         )
         for i in range(n):
-            for axis in range(3):
-                rec.close(
-                    f"support_system.vectors[{i + 1}][{axis}]",
-                    exact_vectors[i][axis],
-                    system_verts[i][axis],
-                    scale,
-                )
+            rec.close_vector(
+                f"support_system.vectors[{i + 1}]", exact_vectors[i], system_verts[i], scale
+            )
 
     derived_block = report.get("derived_analysis")
     if derived_block is not None and system_verts is not None:

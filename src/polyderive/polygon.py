@@ -17,12 +17,12 @@ from .vectors import (
     ZERO_VEC,
     Vec3,
     _Form,
+    _int_cross,
     _int_det,
     _int_difference,
     _integer_coordinates,
     _rational_vector,
     area_vector,
-    cross,
 )
 
 
@@ -105,23 +105,32 @@ class GenericityReport:
 
 
 def is_generic(edges: Sequence[Vec3]) -> GenericityReport:
-    """Read genericity off the corner determinants, scanning pairs only if one is zero.
+    """Read genericity off the corner determinants, scanning pairs only if one is zero."""
+    form = _integer_coordinates(tuple(edges))
+    return _genericity(form, _deltas(form))
+
+
+def _genericity(edges: _Form, values: Sequence[Fraction]) -> GenericityReport:
+    """:func:`is_generic` of edges in the int form, with their determinants ``values``.
 
     A collinear pair zeroes both determinants containing it; it is reported first.
     """
-    chain = tuple(edges)
-    values = deltas(chain)
     if all(values):
         return GenericityReport(True)
-    count = len(chain)
+    ints = edges[0]
+    count = len(ints)
     for i in range(count):
-        if cross(chain[i], chain[(i + 1) % count]).is_zero():
+        if not any(_int_cross(ints[i], ints[(i + 1) % count])):
             return GenericityReport(False, i + 1, "collinear_pair")
     return GenericityReport(False, values.index(0) + 1, "coplanar_triple")
 
 
 def ensure_generic(edges: Sequence[Vec3]) -> None:
-    report = is_generic(edges)
+    _require_generic(is_generic(edges))
+
+
+def _require_generic(report: GenericityReport) -> None:
+    """Raise :class:`NonGenericPolygonError` naming the edge where ``report`` failed."""
     if not report.ok:
         labels = {
             "collinear_pair": "consecutive edges are collinear",
@@ -130,6 +139,13 @@ def ensure_generic(edges: Sequence[Vec3]) -> None:
         raise NonGenericPolygonError(
             f"polygon is not generic at edge {report.index}: {labels[report.kind]}"
         )
+
+
+def _nonzero(values: Sequence[Scalar], what: str, tail: str = "") -> None:
+    """Raise :class:`NonGenericPolygonError` at the first zero of ``values``, 1-based."""
+    for i, value in enumerate(values):
+        if not value:
+            raise NonGenericPolygonError(f"{what} {i + 1} is zero{tail}")
 
 
 def mirror(polygon: Polygon) -> Polygon:

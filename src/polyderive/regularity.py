@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polygon import NonGenericPolygonError, _deltas, ensure_generic
+from .polygon import _deltas, _genericity, _nonzero, _require_generic
 from .scalars import QuadExt, Scalar, _power, format_scalar
 from .vectors import (
     Vec3,
@@ -86,9 +86,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
     value is reduced once.
     """
     values = tuple(delta_values)
-    for i, value in enumerate(values):
-        if not value:
-            raise NonGenericPolygonError(f"corner determinant {i + 1} is zero")
+    _nonzero(values, "corner determinant")
     odd_num, odd_den = _product(values[0::2])
     even_num, even_den = _product(values[1::2])
     products = Fraction(odd_num, odd_den), Fraction(even_num, even_den)
@@ -146,8 +144,7 @@ def support_basis(
 
 def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:
     """:func:`support_basis` of edges in the int form; a zero determinant raises."""
-    if not all(values):
-        ensure_generic(tuple(map(_rational_vector, *edges)))
+    _require_generic(_genericity(edges, values))
     ints, dens = edges
     count = len(ints)
     crosses = [_int_cross(ints[k], ints[(k + 1) % count]) for k in range(count)]

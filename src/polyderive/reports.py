@@ -20,7 +20,7 @@ from .derived import (
     strongly_regular_check,
     two_plane_decomposition,
 )
-from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, is_generic
+from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, _genericity
 from .regularity import (
     RegularityVerdict,
     SupportSystem,
@@ -111,10 +111,10 @@ def _head(
 
 
 def _genericity_json(edges: _Form, values: Sequence[Scalar]) -> dict:
-    """Nonzero determinants mean a generic polygon; only a zero one needs the scan."""
-    if all(values):
+    """The ``genericity`` block: ok, or the first failing edge and its kind."""
+    report = _genericity(edges, values)
+    if report.ok:
         return {"ok": True}
-    report = is_generic(tuple(map(_rational_vector, *edges)))
     return {"ok": False, "index": report.index, "kind": report.kind}
 
 

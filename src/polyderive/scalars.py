@@ -42,6 +42,8 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if not value.isascii() or "_" in value:  # Fraction reads "1_0" and Unicode digits
+            raise ValueError(f"cannot parse rational from {value!r}")
         text = value.strip()
         try:
             exponent = int(text.upper().partition("E")[2] or 0)

@@ -94,15 +94,9 @@ def _integer_coordinates(vectors: Sequence[Vec3]) -> _Form:
         if type(x) is not Fraction or type(y) is not Fraction or type(z) is not Fraction:
             raise TypeError(f"cross and mixed products take rational vectors, got {v!r}")
         dx, dy, dz = x.denominator, y.denominator, z.denominator
-        if dx == dy == dz:
-            points.append((x.numerator, y.numerator, z.numerator))
-            dens.append(dx)
-        else:
-            m = math.lcm(dx, dy, dz)
-            points.append(
-                (x.numerator * (m // dx), y.numerator * (m // dy), z.numerator * (m // dz))
-            )
-            dens.append(m)
+        m = math.lcm(dx, dy, dz)
+        points.append((x.numerator * (m // dx), y.numerator * (m // dy), z.numerator * (m // dz)))
+        dens.append(m)
     return points, dens
 
 

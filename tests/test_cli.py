@@ -172,6 +172,17 @@ class TestCheck:
         assert "residue (1, 1, 1)" in err
         assert "Vec3(" not in err and "Fraction(" not in err
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0661"])
+    def test_underscore_and_non_ascii_digit_are_a_usage_error(self, capsys, tmp_path, text):
+        # Fraction alone reads "1_0" as 10 and the Arabic-Indic digit one as 1.
+        path = tmp_path / "digits.json"
+        vertices = [[text, "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]]
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot parse rational from {text!r}\n"
+
     def test_float_check_attaches_oracle_block(self, capsys):
         code, report = run_json(capsys, "check", QUADRANGLE, "--float-check")
         assert code == 0
@@ -424,6 +435,18 @@ class TestGenerate:
         code, fixture = run_json(capsys, "generate", "--kind", "quad")
         assert code == 0
         assert fixture["seed"] == 21
+
+    @pytest.mark.parametrize(
+        "argv", [["generate", "--kind", "quad"], ["verify", "--suite", "eq2", "--samples", "1"]]
+    )
+    def test_invalid_seed_env_is_a_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("POLYDERIVE_SEED", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: POLYDERIVE_SEED must be an integer, got 'abc'\n"
+        code, _out, _err = run_cli(capsys, *argv, "--seed", "4")
+        assert code == 0
 
     @pytest.mark.parametrize("bound", ["1", "0", "-5"])
     def test_bound_below_two_is_a_usage_error(self, capsys, bound):

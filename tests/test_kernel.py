@@ -28,9 +28,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
-from golden import Pair, pairs
+from golden import Pair, pairs, vecs
 from polyderive import (
     DerivedPolygon,
+    NonGenericPolygonError,
     Polygon,
     QuadExt,
     SupportCheck,
@@ -610,6 +611,32 @@ class TestIntegerPath:
         derive_report(polygon)
         assert sizes.count(21) <= 2
         assert [size for size in sizes if size != 21] == [3, 1]
+
+    def test_genericity_is_decided_on_the_int_form(self, monkeypatch):
+        # A zero determinant leads to the pair scan, on the int edges and
+        # determinants in hand: no second determinant pass and no Fraction
+        # vectors.
+        polygon = Polygon(
+            vecs((0, 2, 0), (0, 1, 3), (0, 0, 0), (1, 0, 0), (1, 1, 0))  # edges 3-5 in z = 0
+        )
+        edges = edge_vectors(polygon)
+        calls = {"_deltas": 0, "_rational_vector": 0}
+        for name, owner in (("_deltas", polygon_module), ("_rational_vector", vectors)):
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (vectors, polygon_module, regularity, derived_module, reports):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        report = reports.check_report(polygon)
+        assert report["genericity"] == {"ok": False, "index": 3, "kind": "coplanar_triple"}
+        assert calls == {"_deltas": 1, "_rational_vector": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(NonGenericPolygonError, match="^polygon is not generic at edge 3: "):
+            support_basis(edges)
+        assert calls == {"_deltas": 1, "_rational_vector": 0}
 
     def test_each_vector_is_cleared_over_its_own_denominator(self):
         # Coprime denominators must not merge into one list-wide LCM, whose

@@ -272,6 +272,22 @@ class TestFloatCrossValidation:
             m.field.startswith("support_system.vectors[4]") for m in validation.mismatches
         )
 
+    def test_tampered_vector_fields_are_named_by_index_and_axis(self):
+        # The same number of checks, and each wrong coordinate named alone.
+        report = derive_report(golden.fixture_polygon("hexagon_regular.json"), alpha=Fraction(1))
+        assert float_cross_validate(report).checks == 68
+        corrupted = copy.deepcopy(report)
+        corrupted["support_system"]["vectors"][3][0] = "-33/9"  # true value is -34/9
+        corrupted["derived_analysis"]["vertices"][1][2] = "1"  # true value is 0
+        corrupted["derived_analysis"]["area_vector"][1] = "1"  # true value is 0
+        validation = float_cross_validate(corrupted)
+        assert validation.checks == 68
+        assert [m.field for m in validation.mismatches] == [
+            "support_system.vectors[4][0]",
+            "derived_analysis.vertices[2][2]",
+            "derived_analysis.area_vector[1]",
+        ]
+
     def test_infinite_exact_and_float_values_do_not_pass(self):
         # Coordinates near 1e120 send the float determinants to infinity, and
         # b*sqrt(d) = 1e300 * 1e150 overflows the exact side's float form too;

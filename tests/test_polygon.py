@@ -13,15 +13,18 @@ from polyderive import (
     NonGenericPolygonError,
     Polygon,
     Vec3,
+    alternating_product_identity,
     area_vector,
     check_regularity,
     cross,
     deltas,
     derivability_defect,
+    derived_relation_defects,
     edge_vectors,
     ensure_generic,
     is_generic,
     mirror,
+    strongly_regular_check,
 )
 
 UNIT_SQUARE = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
@@ -116,6 +119,40 @@ class TestGenericity:
                 is_generic(edge_vectors(polygon)).ok
                 == is_generic(edge_vectors(mirror(polygon))).ok
             )
+
+
+# Six vectors whose first two agree, so that the cross-product row
+# cross(u_1, u_2) is zero; and six alternating between two vectors, whose
+# rows sum to zero and whose derived edges are all collinear.
+ZERO_ROW = vecs((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (2, -1, 1))
+ALTERNATING = vecs(*[(1, 0, 0), (0, 1, 0)] * 3)
+
+
+class TestZeroGuards:
+    """Each determinant check names the first zero, 1-based, in its own words."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_regularity(fracs(1, 0, 2, 0)), "corner determinant 2 is zero"),
+            (
+                lambda: strongly_regular_check(fracs(1, 2, 0, 1, 2, 0)),
+                "corner determinant 3 is zero",
+            ),
+            (
+                lambda: alternating_product_identity(ZERO_ROW),
+                "row determinant 1 is zero; redraw the sample",
+            ),
+            (
+                lambda: derived_relation_defects(ALTERNATING),
+                "derived corner determinant 1 is zero",
+            ),
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(NonGenericPolygonError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 class TestMirror:

@@ -9,7 +9,8 @@ imports ``polyderive`` from ``TREE/src`` and runs ``cli.main`` in-process on
 ``bench/inputs`` corpora (regular odd polygons, generic quadrangles, lifted
 hexagons and some irregular inputs), on regular 21-gons with a distinct
 6-digit prime denominator per coordinate (:func:`coprime_polygon`, where
-clearing denominators per vector and per list differ most), on ``generate``
+clearing denominators per vector and per list differ most), on the
+hand-written non-generic inputs of ``NON_GENERIC``, on ``generate``
 for every kind and seeds 0-4, and on ``verify --suite all --samples 3`` for
 seeds 0-299.
 Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
@@ -45,6 +46,19 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 VERIFY_SEEDS = range(300)
 GENERATE_KINDS = ("quad", "pentagon", "hexagon-lift", "alt-sign")
+# Polygons with a zero corner determinant, for the genericity scan and the
+# error path of every command. Each fails first at the edge and in the way
+# its comment gives.
+NON_GENERIC = (
+    # edge 1, coplanar_triple: every determinant is zero
+    ("coplanar_square", [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]),
+    # edge 2, collinear_pair: edge 3 is zero
+    ("repeated_vertex", [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 0), (0, 0, 1)]),
+    # edge 3, coplanar_triple: edges 3-5 lie in z = 0
+    ("coplanar_triple", [(0, 2, 0), (0, 1, 3), (0, 0, 0), (1, 0, 0), (1, 1, 0)]),
+    # edge 4, collinear_pair: edges 4 and 5 are both (1, 0, 0)
+    ("collinear_pair", [(2, 1, 0), (1, 2, 3), (0, 1, 1), (0, 0, 0), (1, 0, 0), (2, 0, 0)]),
+)
 
 
 def primes(start: int, count: int) -> list[int]:
@@ -79,7 +93,7 @@ def coprime_polygon(rng: random.Random, n: int, pool: list[int]) -> list:
 
 
 def corpus() -> list[tuple[str, str]]:
-    """(name, polygon JSON) for the seeded inputs, in a fixed order."""
+    """(name, polygon JSON) for the seeded and the non-generic inputs, in a fixed order."""
     import inputs
 
     rng = random.Random(20201015)
@@ -93,6 +107,8 @@ def corpus() -> list[tuple[str, str]]:
     drawn += [("generic6", inputs.generic_polygon(rng, 6)) for _ in range(10)]
     pool = primes(100_000, 500)
     drawn += [("coprime21", coprime_polygon(rng, 21, pool)) for _ in range(8)]
+    # After the drawn inputs, so that those keep their index.
+    drawn += NON_GENERIC
     return [
         (f"{kind}_{i:03d}.json", inputs.polygon_json(points))
         for i, (kind, points) in enumerate(drawn)
