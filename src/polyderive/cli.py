@@ -128,19 +128,21 @@ def _seed(value: int | None) -> int:
         return value
     text = os.environ.get("POLYDERIVE_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
+        return _integer(text)
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"POLYDERIVE_SEED must be an integer, got {text!r}") from None
 
 
-def _int_at_least(minimum: int, text: str) -> int:
+def _integer(text: str, minimum: int | None = None) -> int:
     try:
-        count = int(text)
+        if not text.isascii() or "_" in text:  # parse_rational's rule; int() reads "1_0", "١"
+            raise ValueError(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {count}")
-    return count
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -272,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("quad", "pentagon", "hexagon-lift", "alt-sign"),
     )
-    generate.add_argument("--seed", type=int)
+    generate.add_argument("--seed", type=_integer)
     generate.add_argument(
-        "--bound", type=functools.partial(_int_at_least, 2), default=9, help="coordinate bound"
+        "--bound", type=functools.partial(_integer, minimum=2), default=9, help="coordinate bound"
     )
     generate.add_argument("--out", help="write to a file instead of stdout")
     generate.set_defaults(func=_cmd_generate)
@@ -283,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", required=True, choices=tuple(SUITES) + ("all",)
     )
-    verify.add_argument("--samples", type=functools.partial(_int_at_least, 1), default=100)
-    verify.add_argument("--seed", type=int)
+    verify.add_argument("--samples", type=functools.partial(_integer, minimum=1), default=100)
+    verify.add_argument("--seed", type=_integer)
     verify.set_defaults(func=_cmd_verify)
 
     plot = sub.add_parser("plot", help="emit float plot data for a polygon or report")

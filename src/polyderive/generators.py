@@ -133,10 +133,11 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
     placed on the vertical axis. The support vectors run from the apex to
     the six points and the polygon's edges are their consecutive cross
     products. The edges close by construction, which Polygon.from_edges still
-    checks per instance; any non-generic outcome is resampled.
+    checks per instance.
 
-    The family parameter alpha is read off cross(v_1, v_2) alone, because the
-    canonical support chain starts with that vector at coefficient one.
+    With m_i = mixed(u_(i-1), u_i, u_(i+1)), cross(a×b, b×c) = mixed(a, b, c)·b
+    makes edge i's corner determinant m_i·m_(i+1), so a zero m_i is resampled,
+    and cross(v_1, v_2) = m_1·u_1 starts the canonical chain, so alpha is m_1.
     """
     rng = random.Random(cfg.seed)
     one = Fraction(1)
@@ -151,20 +152,12 @@ def regular_hexagon_via_lift(cfg: GenConfig) -> tuple[Polygon, SupportSystem]:
             for index, p in enumerate(points)
         )
         support = tuple(p - apex for p in lifted)
-        edges = tuple(cross(support[i - 1], support[i]) for i in range(6))
-        if not all(deltas(edges)):
+        m = deltas(support)  # m_i is m[i - 2], centred on u_i, so m_1 is m[-1]
+        if not all(m):
             continue
-        alpha = _family_parameter(cross(edges[0], edges[1]), support[0])
-        return Polygon.from_edges(edges), SupportSystem(support, alpha)
+        edges = tuple(cross(support[i - 1], support[i]) for i in range(6))
+        return Polygon.from_edges(edges), SupportSystem(support, m[-1])
     raise _budget_error("a lifted regular hexagon")
-
-
-def _family_parameter(chain_start: Vec3, system_start: Vec3) -> Fraction:
-    """Scale tying a support system to the canonical chain: u_1 = chain_1 / alpha."""
-    for chain_part, system_part in zip(chain_start, system_start):
-        if chain_part:
-            return chain_part / system_part
-    raise RuntimeError("canonical chain started with a zero vector; this is a bug")
 
 
 def alternating_sign_hexagon(cfg: GenConfig) -> Polygon:

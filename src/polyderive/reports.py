@@ -40,9 +40,9 @@ def vec3_to_json(vector: Vec3) -> list:
     return [format_scalar(component) for component in vector]
 
 
-def _scaled_rows(vectors: Sequence[Vec3], scale: Scalar, power: int = 1) -> list[list]:
-    """JSON rows of ``scale**power * v`` for rational vectors, written in one pass."""
-    flat = _format_scaled([c for v in vectors for c in v], scale, power)
+def _scaled_rows(vectors: Sequence[Vec3], scale: Scalar) -> list[list]:
+    """JSON rows of ``scale * v`` for rational vectors, written in one pass."""
+    flat = _format_scaled([c for v in vectors for c in v], scale, 1)
     return [flat[k : k + 3] for k in range(0, len(flat), 3)]
 
 
@@ -207,7 +207,7 @@ def _analysis(
         area = area_vector(points)
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
-    written = _scaled_rows([area], polygon.scale, 2)[0]
+    written = _format_scaled(area, polygon.scale, 2)
     block["planarity"] = {"planar": planarity.planar, "witness": planarity.witness}
     block["area_vector"] = written
     block["derivability_defect"] = list(written)

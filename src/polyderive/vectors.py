@@ -100,7 +100,7 @@ def _integer_coordinates(vectors: Sequence[Vec3]) -> _Form:
     return points, dens
 
 
-def _cleared(v: Sequence[int], den: int, top: int = 1) -> tuple[tuple[int, int, int], int]:
+def _cleared(v: Sequence[int], den: int, top: int) -> tuple[tuple[int, int, int], int]:
     """``top * v / den`` in the int form, for ``den > 0``, cancelled crosswise.
 
     As in a Fraction product, ``v`` and ``den`` are cancelled first, then

@@ -448,6 +448,35 @@ class TestGenerate:
         code, _out, _err = run_cli(capsys, *argv, "--seed", "4")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "quad", "--seed", "1_0"],
+            ["generate", "--kind", "quad", "--seed", "\u0661"],
+            ["generate", "--kind", "quad", "--seed", "0", "--bound", "1_0"],
+            ["verify", "--suite", "eq2", "--samples", "1", "--seed", "1_0"],
+            ["verify", "--suite", "eq2", "--seed", "0", "--samples", "\u0663"],
+        ],
+    )
+    def test_underscore_and_non_ascii_digit_options_are_a_usage_error(self, capsys, argv):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic digits as 1 and 3.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": invalid int value: {argv[-1]!r}\n")
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661"])
+    def test_underscore_and_non_ascii_digit_seed_env_is_a_usage_error(
+        self, capsys, monkeypatch, text
+    ):
+        monkeypatch.setenv("POLYDERIVE_SEED", text)
+        code, out, err = run_cli(capsys, "generate", "--kind", "quad")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: POLYDERIVE_SEED must be an integer, got {text!r}\n"
+
     @pytest.mark.parametrize("bound", ["1", "0", "-5"])
     def test_bound_below_two_is_a_usage_error(self, capsys, bound):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,7 +5,8 @@ scaled by alpha at even positions and by 1/alpha at odd ones. The verify
 suites and the generators rely on that: they build the chain once per drawn
 polygon and only rescale it. The properties check that the shared chain gives
 what the one-call pipeline gives at every scale; the call counts check that
-the chain, the determinants and the row-sum defect are computed once.
+the chain, the determinants and the row-sum defect are computed once, and
+that thm51 checks one support system per drawn hexagon.
 """
 
 from __future__ import annotations
@@ -25,18 +26,19 @@ from polyderive.derived import (
 )
 from polyderive.generators import (
     GenConfig,
-    _family_parameter,
     random_generic_polygon,
     regular_hexagon_via_lift,
 )
 from polyderive.polygon import NonGenericPolygonError, deltas, edge_vectors
 from polyderive.regularity import (
+    _scale,
     build_support_system,
     check_regularity,
     support_basis,
     support_system,
 )
 from polyderive.suites import SCALE_FACTORS, SCALE_PAIRS, run_suite
+from polyderive.vectors import Vec3, _integer_coordinates, cross
 
 SETTINGS = settings(max_examples=25, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -61,6 +63,27 @@ def shared_family(edges):
     verdict = check_regularity(values)
     basis = support_basis(edges, values)
     return [support_system(basis, verdict, alpha) for alpha in SCALE_FACTORS]
+
+
+def _family_parameter(chain_start: Vec3, system_start: Vec3) -> Fraction:
+    """Scale tying a support system to the canonical chain: u_1 = chain_1 / alpha."""
+    for chain_part, system_part in zip(chain_start, system_start):
+        if chain_part:
+            return chain_part / system_part
+    raise RuntimeError("canonical chain started with a zero vector; this is a bug")
+
+
+def int_form(form):
+    """An int form with its two lists as tuples, so that forms compare by value."""
+    points, dens = form
+    return tuple(map(tuple, points)), tuple(dens)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+vectors = st.builds(Vec3, rationals, rationals, rationals)
+vector_lists = st.integers(min_value=4, max_value=9).flatmap(
+    lambda n: st.lists(vectors, min_size=n, max_size=n)
+)
 
 
 def derived_type(system):
@@ -127,6 +150,36 @@ class TestSharedChainEquivalence:
         chain_start = support_basis(edge_vectors(hexagon)).vectors[0]
         assert system.alpha == _family_parameter(chain_start, system.unscaled[0])
 
+    @SETTINGS
+    @given(even_edges)
+    def test_rescaled_chain_is_the_checked_systems_int_form(self, edges):
+        # thm51 reads the family's derived determinants off these rescaled forms.
+        values = deltas(edges)
+        verdict = check_regularity(values)
+        basis = support_basis(edges, values)
+        for alpha in SCALE_FACTORS:
+            system = support_system(basis, verdict, alpha)
+            rescaled = _scale(basis._chain, alpha, 1 / alpha)
+            assert int_form(rescaled) == int_form(_integer_coordinates(system.unscaled))
+
+
+class TestSupportDeterminants:
+    """Edges v_i = cross(u_(i-1), u_i) of any vectors u, with m_i = mixed(u_(i-1), u_i, u_(i+1)).
+
+    By cross(a×b, b×c) = mixed(a, b, c)·b, edge i's corner determinant is
+    m_i·m_(i+1) and cross(v_1, v_2) = m_1·u_1: the two facts the lift reads
+    off its support vectors. ``deltas(u)[i]`` is centred on ``u[i + 1]``, so
+    m_i is ``deltas(u)[i - 2]`` (0-based u, 1-based m).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(vector_lists)
+    def test_edge_determinants_are_products_of_support_determinants(self, u):
+        edges = [cross(u[i - 1], u[i]) for i in range(len(u))]
+        m = deltas(u)
+        assert list(deltas(edges)) == [m[i - 1] * m[i] for i in range(len(u))]
+        assert cross(edges[0], edges[1]) == m[-1] * u[0]
+
 
 def count_calls(monkeypatch, name, owner, *modules):
     """Count calls of ``owner.name`` through every module that resolves the name."""
@@ -155,6 +208,14 @@ class TestEachStageRunsOncePerDraw:
         assert result.passed
         assert len(draws) == 4 + result.redraws
         assert len(chains) == len(draws)
+
+    def test_thm51_checks_one_support_system_per_drawn_hexagon(self, monkeypatch):
+        checks = count_calls(monkeypatch, "_verify_support", regularity)
+        draws = count_calls(monkeypatch, "regular_hexagon_via_lift", generators, suites)
+        result = run_suite("thm51", 4, seed=24)
+        assert result.passed
+        assert len(draws) == 4 + result.redraws
+        assert len(checks) == len(draws)
 
     def test_lift_builds_no_chain(self, monkeypatch):
         chains = count_calls(monkeypatch, "support_basis", regularity, generators)

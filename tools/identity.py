@@ -11,7 +11,9 @@ hexagons and some irregular inputs), on regular 21-gons with a distinct
 6-digit prime denominator per coordinate (:func:`coprime_polygon`, where
 clearing denominators per vector and per list differ most), on the
 hand-written non-generic inputs of ``NON_GENERIC``, on ``generate``
-for every kind and seeds 0-4, and on ``verify --suite all --samples 3`` for
+for every kind and seeds 0-4, then ``generate --kind hexagon-lift`` to stdout
+for seeds 5-199 (``LIFT_SEEDS``, so that the lift's polygon and alpha are
+compared on 200 draws), and on ``verify --suite all --samples 3`` for
 seeds 0-299.
 Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
 every fourth input also runs with ``--float-check``. Each ``generate`` runs
@@ -45,6 +47,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 VERIFY_SEEDS = range(300)
+LIFT_SEEDS = range(5, 200)
 GENERATE_KINDS = ("quad", "pentagon", "hexagon-lift", "alt-sign")
 # Polygons with a zero corner determinant, for the genericity scan and the
 # error path of every command. Each fails first at the edge and in the way
@@ -176,6 +179,9 @@ def main(tree: str, out: str) -> int:
                     run(cli.main, ["plot", fixture, "--out", plotted], sink)
                     for written in (fixture, plotted):
                         sink.write(f"--- {written}\n{Path(written).read_text()}")
+            # After the runs above, so that their output keeps its place.
+            for seed in LIFT_SEEDS:
+                run(cli.main, ["generate", "--kind", "hexagon-lift", "--seed", str(seed)], sink)
         with open("verify.txt", "w") as sink:
             for seed in VERIFY_SEEDS:
                 argv = ["verify", "--suite", "all", "--samples", "3", "--seed", str(seed)]
