@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .generators import (
     GenConfig,
@@ -45,7 +46,8 @@ _INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 class _UsageError(ValueError):
-    """A setting read outside the argument parser, such as POLYDERIVE_SEED, is malformed."""
+    """A setting read outside the argument parser is unusable: a malformed
+    POLYDERIVE_SEED, or an ``--out`` path that cannot be written."""
 
 
 def _load_payload(path: str) -> dict:
@@ -54,6 +56,8 @@ def _load_payload(path: str) -> dict:
             payload = json.load(handle)
     except FileNotFoundError:
         raise PolygonFormatError(f"no such file: {path}")
+    except OSError as exc:  # a directory, no permission
+        raise PolygonFormatError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise PolygonFormatError(
             f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -98,8 +102,11 @@ def _json(value: object, pad: str) -> str:
 def _emit(document: dict | str, out: str | None = None) -> None:
     text = document if isinstance(document, str) else _json(document, "") + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # a missing directory, a directory, a full disk
+            raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -145,6 +152,17 @@ def _integer(text: str, minimum: int | None = None) -> int:
     return value
 
 
+def _alpha(text: str) -> Fraction:
+    """A nonzero ``--alpha`` in the coordinate grammar of :func:`parse_rational`."""
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     polygon = polygon_from_json(_load_payload(args.file))
     report = check_report(polygon, source=args.file)
@@ -163,11 +181,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     polygon = polygon_from_json(_load_payload(args.file))
-    alpha = parse_rational(args.alpha) if args.alpha is not None else None
-    if alpha is not None and alpha == 0:
-        raise ValueError("--alpha must be nonzero")
     report = derive_report(
-        polygon, alpha=alpha, negative_root=args.negative_root, source=args.file
+        polygon, alpha=args.alpha, negative_root=args.negative_root, source=args.file
     )
     _emit_report(report, args.float_check)
     block = report["derived_analysis"]
@@ -254,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     derive = sub.add_parser("derive", help="build the support system and derived polygon")
     derive.add_argument("file", help="polygon JSON file")
-    derive.add_argument("--alpha", help="rational scale factor (required for even n)")
+    derive.add_argument("--alpha", type=_alpha, help="rational scale factor (required for even n)")
     derive.add_argument(
         "--negative-root",
         action="store_true",

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .polygon import Polygon, deltas, edge_vectors, mirror
+from .polygon import Polygon, _deltas, _edges, deltas, mirror
 from .regularity import SupportSystem
 from .scalars import Scalar
-from .vectors import Vec3, cross
+from .vectors import Vec3, _integer_coordinates, cross
 
 # Draws a generator makes before it raises GenerationBudgetError.
 MAX_REJECTIONS = 20000
@@ -67,7 +67,7 @@ def _generic_draws(n: int, cfg: GenConfig) -> Iterator[tuple[Polygon, tuple[Scal
     rng = random.Random(cfg.seed)
     for _ in range(MAX_REJECTIONS):
         polygon = Polygon(tuple(_random_vertex(rng, cfg.coordinate_bound) for _ in range(n)))
-        values = deltas(edge_vectors(polygon))
+        values = _deltas(_edges(_integer_coordinates(polygon.vertices)))
         if all(values):
             yield polygon, values
 

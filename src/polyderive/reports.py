@@ -8,6 +8,7 @@ the optional float validation block.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -316,7 +317,9 @@ def plot_lines(payload: dict) -> str:
         lines.append(f"# planar {'true' if planarity['planar'] else 'false'}")
     for index, point in enumerate(points):
         try:
-            x, y, z = point.to_floats()
+            x, y, z = floats = point.to_floats()
+            if not all(map(math.isfinite, floats)):  # a + b*sqrt(d) past its parts' range
+                raise OverflowError
         except OverflowError as exc:
             raise PolygonFormatError(f"vertex {index + 1} is beyond double range") from exc
         row = f"v {index + 1} {x:.17g} {y:.17g} {z:.17g}"

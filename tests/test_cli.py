@@ -320,6 +320,25 @@ class TestDerive:
         assert code == 1
         assert "negative-root" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("abc", "cannot parse rational from 'abc'"),
+            ("1_0", "cannot parse rational from '1_0'"),
+            ("\u0661", "cannot parse rational from '\u0661'"),
+            ("1e5000", "decimal exponent of '1e5000' is beyond ±4300"),
+            ("1/0", "cannot parse rational from '1/0'"),
+            ("0", "must be nonzero"),
+        ],
+    )
+    def test_bad_alpha_is_a_usage_error(self, capsys, alpha, message):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["derive", HEXAGON, f"--alpha={alpha}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"argument --alpha: {message}\n")
+
     def test_irregular_polygon_cites_both_products(self, capsys, tmp_path):
         fixture_code, fixture = run_json(
             capsys, "generate", "--kind", "alt-sign", "--seed", "5"
@@ -617,6 +636,16 @@ class TestPlot:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_extension_value_beyond_double_range_is_a_usage_error(self, capsys, tmp_path):
+        # Each part of 1e300 * sqrt(1e300) fits a double; the value does not.
+        path = tmp_path / "overflow.json"
+        vertices = [[_radical("1e300", "1e300"), "0", "0"], *TRIANGLE[1:]]
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out, err = run_cli(capsys, "plot", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: vertex 1 is beyond double range\n"
+
 
 # Files the JSON reader rejects before any polygon is read.
 UNREADABLE_FILES = {
@@ -651,6 +680,40 @@ class TestUnreadableFiles:
             "4300 digits, the limit for a coordinate\n"
         )
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("command", ["check", "derive", "analyze", "plot"])
+    def test_directory_is_a_usage_error(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--kind", "quad", "--seed", "0"], ["plot", PENTAGON]],
+        ids=["generate", "plot"],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "full-disk"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv, target):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path, strerror = {
+            "missing-directory": (tmp_path / "missing" / "x.txt", "No such file or directory"),
+            "directory": (out_dir, "Is a directory"),
+            # Opens, then fails on the write: ENOSPC.
+            "full-disk": (Path("/dev/full"), "No space left on device"),
+        }[target]
+        if target == "full-disk" and not path.exists():
+            pytest.skip("no /dev/full on this platform")
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: {strerror}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert list(out_dir.iterdir()) == []
 
 
 # Non-ASCII and control characters, and lone surrogates, which ``characters()`` leaves out.

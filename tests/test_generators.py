@@ -64,6 +64,27 @@ class TestRandomGenericPolygon:
         with pytest.raises(ValueError, match="four"):
             random_generic_polygon(3, GenConfig(seed=0))
 
+    def test_draws_build_no_rational_edges(self, monkeypatch):
+        # The determinants of each draw come from the int form of its
+        # vertices; Fraction edge vectors would be built and cleared again.
+        from polyderive import polygon as polygon_module
+        from polyderive import vectors
+
+        calls = []
+        real = vectors._rational_vector
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (vectors, polygon_module, generators):
+            monkeypatch.setattr(module, "_rational_vector", counted, raising=False)
+        draws = generators._generic_draws(6, GenConfig(seed=3))
+        drawn = [next(draws) for _ in range(5)]
+        assert calls == []
+        for polygon, values in drawn:
+            assert values == deltas(edge_vectors(polygon))
+
     def test_generic_pentagon_or_its_mirror_is_regular(self):
         from polyderive import mirror
 

@@ -13,8 +13,10 @@ clearing denominators per vector and per list differ most), on the
 hand-written non-generic inputs of ``NON_GENERIC``, on ``generate``
 for every kind and seeds 0-4, then ``generate --kind hexagon-lift`` to stdout
 for seeds 5-199 (``LIFT_SEEDS``, so that the lift's polygon and alpha are
-compared on 200 draws), and on ``verify --suite all --samples 3`` for
-seeds 0-299.
+compared on 200 draws), then ``generate --kind K`` to stdout for each
+``DRAW_KINDS`` kind and seeds 5-99 (``DRAW_SEEDS``, so that the rejection
+draws are compared on 100 seeds per kind), and on
+``verify --suite all --samples 3`` for seeds 0-299.
 Odd inputs derive at both roots, even ones at each ``inputs.ALPHAS``, and
 every fourth input also runs with ``--float-check``. Each ``generate`` runs
 again as ``generate --out FILE`` and ``plot FILE --out FILE2``, so that the
@@ -48,6 +50,8 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 VERIFY_SEEDS = range(300)
 LIFT_SEEDS = range(5, 200)
+DRAW_KINDS = ("quad", "pentagon", "alt-sign")
+DRAW_SEEDS = range(5, 100)
 GENERATE_KINDS = ("quad", "pentagon", "hexagon-lift", "alt-sign")
 # Polygons with a zero corner determinant, for the genericity scan and the
 # error path of every command. Each fails first at the edge and in the way
@@ -182,6 +186,9 @@ def main(tree: str, out: str) -> int:
             # After the runs above, so that their output keeps its place.
             for seed in LIFT_SEEDS:
                 run(cli.main, ["generate", "--kind", "hexagon-lift", "--seed", str(seed)], sink)
+            for kind in DRAW_KINDS:
+                for seed in DRAW_SEEDS:
+                    run(cli.main, ["generate", "--kind", kind, "--seed", str(seed)], sink)
         with open("verify.txt", "w") as sink:
             for seed in VERIFY_SEEDS:
                 argv = ["verify", "--suite", "all", "--samples", "3", "--seed", str(seed)]
