@@ -13,16 +13,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
-from .generators import (
-    GenConfig,
-    GenerationBudgetError,
-    alternating_sign_hexagon,
-    random_generic_polygon,
-    random_regular_pentagon,
-    regular_hexagon_via_lift,
-)
-from .oracle import float_cross_validate
 from .polygon import NonGenericPolygonError
 from .regularity import IrregularPolygonError
 from .reports import (
@@ -36,7 +28,6 @@ from .reports import (
     polygon_to_json,
 )
 from .scalars import parse_rational
-from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -114,6 +105,8 @@ def _emit(document: dict | str, out: str | None = None) -> None:
 def _emit_report(report: dict, float_check: bool) -> None:
     """Emit a report, with the float re-run attached when asked for."""
     if float_check:
+        from .oracle import float_cross_validate
+
         validation = float_cross_validate(report)
         report["oracle_results"] = {
             "ok": validation.ok,
@@ -207,6 +200,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generators import (
+        GenConfig,
+        alternating_sign_hexagon,
+        random_generic_polygon,
+        random_regular_pentagon,
+        regular_hexagon_via_lift,
+    )
+
     cfg = GenConfig(seed=_seed(args.seed), coordinate_bound=args.bound)
     fixture: dict = {
         "kind": args.kind,
@@ -232,6 +233,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import SUITES, run_suite
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     seed = _seed(args.seed)
     results = [run_suite(name, args.samples, seed) for name in names]
@@ -248,6 +251,26 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     text = plot_lines(_load_payload(args.file))
     _emit(text, args.out)
     return EXIT_OK
+
+
+class _SuiteIds:
+    """The ``--suite`` choices: the ids of :data:`suites.SUITES`, then ``all``.
+
+    They are read when verify parses or prints its usage, so the other
+    commands never import :mod:`suites`.
+    """
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._ids()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids())
+
+    @staticmethod
+    def _ids() -> tuple[str, ...]:
+        from .suites import SUITES
+
+        return (*SUITES, "all")
 
 
 @functools.cache
@@ -297,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(func=_cmd_generate)
 
     verify = sub.add_parser("verify", help="run randomized verification suites")
-    verify.add_argument(
-        "--suite", required=True, choices=tuple(SUITES) + ("all",)
-    )
+    # add_argument formats the choices it is given, so they are set after it.
+    verify.add_argument("--suite", required=True).choices = _SuiteIds()
     verify.add_argument("--samples", type=functools.partial(_integer, minimum=1), default=100)
     verify.add_argument("--seed", type=_integer)
     verify.set_defaults(func=_cmd_verify)
@@ -320,16 +342,22 @@ def main(argv: list[str] | None = None) -> int:
     except (PolygonFormatError, _UsageError) as exc:
         _summary(f"error: {exc}")
         return EXIT_USAGE
-    except (
-        NonGenericPolygonError,
-        IrregularPolygonError,
-        GenerationBudgetError,
-        ValueError,
-        ZeroDivisionError,
-    ) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        _summary(f"error: {exc}")
-        return EXIT_FAILURE
+    except (NonGenericPolygonError, IrregularPolygonError, ValueError, ZeroDivisionError) as exc:
+        return _failure(exc)
+    except RuntimeError as exc:
+        # Only generate and verify can raise it, and they have loaded generators.
+        from .generators import GenerationBudgetError
+
+        if not isinstance(exc, GenerationBudgetError):
+            raise
+        return _failure(exc)
+
+
+def _failure(exc: Exception) -> int:
+    """Report an analysis failure on stdout and stderr: exit code 1."""
+    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    _summary(f"error: {exc}")
+    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

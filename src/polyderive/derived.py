@@ -9,7 +9,6 @@ across two parallel planes with half-turn-symmetric corner determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -25,6 +24,7 @@ from .regularity import (
 from .scalars import Scalar, _scaled_values
 from .vectors import (
     Vec3,
+    _Value,
     _int_cross,
     _int_difference,
     _integer_coordinates,
@@ -46,8 +46,7 @@ class DegenerateQuadrangleError(ValueError):
     """All four vertices of a quadrangle are collinear, so it spans no plane."""
 
 
-@dataclass(frozen=True)
-class DerivedPolygon:
+class DerivedPolygon(_Value):
     """Polygon whose vertices are support vectors read as points from one origin.
 
     The vertices are ``scale * unscaled[k]``. A derivative keeps its support
@@ -57,11 +56,13 @@ class DerivedPolygon:
     on ``unscaled``.
     """
 
+    _fields = ("unscaled", "scale")
     unscaled: tuple[Vec3, ...]
-    scale: Scalar = Fraction(1)
+    scale: Scalar
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unscaled", tuple(self.unscaled))
+    def __init__(self, unscaled: Sequence[Vec3], scale: Scalar = Fraction(1)) -> None:
+        self._set("unscaled", tuple(unscaled))
+        self._set("scale", scale)
         if len(self.unscaled) < 3:
             raise ValueError("a derived polygon needs at least three vertices")
         if len(self.unscaled) % 2 == 0 and self.scale != 1:
@@ -90,12 +91,16 @@ def derive(system: SupportSystem) -> DerivedPolygon:
     return DerivedPolygon(system.unscaled, system.scale)
 
 
-@dataclass(frozen=True)
-class PlanarityReport:
+class PlanarityReport(_Value):
     """``witness`` is the 1-based index of the first vertex off the plane."""
 
+    _fields = ("planar", "witness")
     planar: bool
-    witness: int | None = None
+    witness: int | None
+
+    def __init__(self, planar: bool, witness: int | None = None) -> None:
+        self._set("planar", planar)
+        self._set("witness", witness)
 
 
 def is_planar(polygon: PolygonLike) -> PlanarityReport:
@@ -141,8 +146,7 @@ def strongly_regular_check(delta_values: Sequence[Scalar]) -> bool:
     return values[0] == values[3] and values[1] == values[4] and values[2] == values[5]
 
 
-@dataclass(frozen=True)
-class HexType:
+class HexType(_Value):
     """Canonical representative of the cyclic ratio d_1 : d_2 : d_3.
 
     Among the three cyclic rotations of the triple, each scaled so its first
@@ -150,7 +154,11 @@ class HexType:
     makes equality of types decidable.
     """
 
+    _fields = ("ratio",)
     ratio: tuple[Fraction, Fraction, Fraction]
+
+    def __init__(self, ratio: tuple[Fraction, Fraction, Fraction]) -> None:
+        self._set("ratio", ratio)
 
 
 def hex_type(delta_values: Sequence[Scalar]) -> HexType:
@@ -170,8 +178,7 @@ def _hex_type(delta_values: Sequence[Scalar]) -> HexType:
     return HexType(min(candidates, key=lambda t: (t[1], t[2])))
 
 
-@dataclass(frozen=True)
-class PlaneDecomposition:
+class PlaneDecomposition(_Value):
     """Two-plane structure of a derived hexagon.
 
     ``normal`` spans the plane through vertices 1, 3, 5; offsets are
@@ -181,11 +188,26 @@ class PlaneDecomposition:
     hexagons.
     """
 
+    _fields = ("normal", "odd_offsets", "even_offsets", "projections", "projected_area_vector")
     normal: Vec3
     odd_offsets: tuple[Scalar, Scalar, Scalar]
     even_offsets: tuple[Scalar, Scalar, Scalar]
     projections: tuple[Vec3, Vec3, Vec3]
     projected_area_vector: Vec3
+
+    def __init__(
+        self,
+        normal: Vec3,
+        odd_offsets: tuple[Scalar, Scalar, Scalar],
+        even_offsets: tuple[Scalar, Scalar, Scalar],
+        projections: tuple[Vec3, Vec3, Vec3],
+        projected_area_vector: Vec3,
+    ) -> None:
+        self._set("normal", normal)
+        self._set("odd_offsets", odd_offsets)
+        self._set("even_offsets", even_offsets)
+        self._set("projections", projections)
+        self._set("projected_area_vector", projected_area_vector)
 
     @property
     def parallel(self) -> bool:
@@ -228,14 +250,26 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
     return PlaneDecomposition(normal, odd, even, projections, area_vector(flattened))
 
 
-@dataclass(frozen=True)
-class SecondDerivativeResult:
+class SecondDerivativeResult(_Value):
     """Types and determinants of the first and second derivatives."""
 
+    _fields = ("first_type", "second_type", "first_deltas", "second_deltas")
     first_type: HexType
     second_type: HexType
     first_deltas: tuple[Scalar, ...]
     second_deltas: tuple[Scalar, ...]
+
+    def __init__(
+        self,
+        first_type: HexType,
+        second_type: HexType,
+        first_deltas: tuple[Scalar, ...],
+        second_deltas: tuple[Scalar, ...],
+    ) -> None:
+        self._set("first_type", first_type)
+        self._set("second_type", second_type)
+        self._set("first_deltas", first_deltas)
+        self._set("second_deltas", second_deltas)
 
 
 def second_derivative_type(

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .polygon import Polygon, _deltas, _edges, deltas, mirror
 from .regularity import SupportSystem
 from .scalars import Scalar
-from .vectors import Vec3, _integer_coordinates, cross
+from .vectors import Vec3, _Value, _integer_coordinates, cross
 
 # Draws a generator makes before it raises GenerationBudgetError.
 MAX_REJECTIONS = 20000
@@ -27,15 +26,17 @@ class GenerationBudgetError(RuntimeError):
     """Rejection sampling ran out of attempts."""
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Value):
     """Sampling knobs: numerators in [-bound, bound], denominators in [1, bound]."""
 
+    _fields = ("seed", "coordinate_bound")
     seed: int
-    coordinate_bound: int = 9
+    coordinate_bound: int
 
-    def __post_init__(self) -> None:
-        if self.coordinate_bound < 2:
+    def __init__(self, seed: int, coordinate_bound: int = 9) -> None:
+        self._set("seed", seed)
+        self._set("coordinate_bound", coordinate_bound)
+        if coordinate_bound < 2:
             raise ValueError("coordinate_bound must be at least 2")
 
 

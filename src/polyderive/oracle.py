@@ -12,13 +12,12 @@ tolerance; disagreement flags a pipeline bug, not a data error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polygon import _nonzero, deltas
 from .scalars import Scalar
-from .vectors import ZERO_VEC, Vec3, cross, mixed
+from .vectors import ZERO_VEC, Vec3, _Value, cross, mixed
 
 
 class OpenSupportError(ValueError):
@@ -96,17 +95,26 @@ FLOAT_TOLERANCE = 1e-9
 Floats = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class FloatMismatch:
+class FloatMismatch(_Value):
+    _fields = ("field", "detail")
     field: str
     detail: str
 
+    def __init__(self, field: str, detail: str) -> None:
+        self._set("field", field)
+        self._set("detail", detail)
 
-@dataclass(frozen=True)
-class FloatValidation:
+
+class FloatValidation(_Value):
+    _fields = ("ok", "checks", "mismatches")
     ok: bool
     checks: int
     mismatches: tuple[FloatMismatch, ...]
+
+    def __init__(self, ok: bool, checks: int, mismatches: tuple[FloatMismatch, ...]) -> None:
+        self._set("ok", ok)
+        self._set("checks", checks)
+        self._set("mismatches", mismatches)
 
 
 def _as_float(obj: object) -> float:

@@ -8,7 +8,6 @@ assumes genericity, so violations are reported with the offending index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .vectors import (
     ZERO_VEC,
     Vec3,
     _Form,
+    _Value,
     _int_cross,
     _int_det,
     _int_difference,
@@ -30,14 +30,14 @@ class NonGenericPolygonError(ValueError):
     """An operation required nonzero corner determinants and did not get them."""
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(_Value):
     """Closed polygon given by its cyclic vertex list (n >= 3)."""
 
+    _fields = ("vertices",)
     vertices: tuple[Vec3, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: Sequence[Vec3]) -> None:
+        self._set("vertices", tuple(vertices))
         if len(self.vertices) < 3:
             raise ValueError("a polygon needs at least three vertices")
 
@@ -95,13 +95,18 @@ def _deltas(edges: _Form) -> tuple[Fraction, ...]:
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(_Value):
     """Outcome of the genericity scan; ``index`` is 1-based like all reports."""
 
+    _fields = ("ok", "index", "kind")
     ok: bool
-    index: int | None = None
-    kind: str | None = None  # "collinear_pair" or "coplanar_triple"
+    index: int | None
+    kind: str | None  # "collinear_pair" or "coplanar_triple"
+
+    def __init__(self, ok: bool, index: int | None = None, kind: str | None = None) -> None:
+        self._set("ok", ok)
+        self._set("index", index)
+        self._set("kind", kind)
 
 
 def is_generic(edges: Sequence[Vec3]) -> GenericityReport:

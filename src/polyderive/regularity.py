@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -23,6 +22,7 @@ from .scalars import QuadExt, Scalar, _power, format_scalar
 from .vectors import (
     Vec3,
     _Form,
+    _Value,
     _cleared,
     _int_cross,
     _integer_coordinates,
@@ -35,8 +35,7 @@ from .vectors import (
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(_Value):
     """Outcome of the alternating-product test on the corner determinants.
 
     ``evidence`` is the quantity whose zero (even n) or positive sign (odd n)
@@ -44,12 +43,29 @@ class RegularityVerdict:
     full product. ``alpha_squared`` is filled for regular odd polygons only.
     """
 
+    _fields = ("regular", "parity", "evidence", "odd_product", "even_product", "alpha_squared")
     regular: bool
     parity: str
     evidence: Scalar
     odd_product: Scalar
     even_product: Scalar
-    alpha_squared: Scalar | None = None
+    alpha_squared: Scalar | None
+
+    def __init__(
+        self,
+        regular: bool,
+        parity: str,
+        evidence: Scalar,
+        odd_product: Scalar,
+        even_product: Scalar,
+        alpha_squared: Scalar | None = None,
+    ) -> None:
+        self._set("regular", regular)
+        self._set("parity", parity)
+        self._set("evidence", evidence)
+        self._set("odd_product", odd_product)
+        self._set("even_product", even_product)
+        self._set("alpha_squared", alpha_squared)
 
 
 class IrregularPolygonError(ValueError):
@@ -99,8 +115,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
     return RegularityVerdict(regular, "odd", evidence, *products, alpha_squared)
 
 
-@dataclass(frozen=True)
-class SupportBasis:
+class SupportBasis(_Value):
     """Unscaled support chain: vectors[k] = coefficients[k] * cross(v_k, v_{k+1}).
 
     The chain starts at cross(v_1, v_2) with coefficient one and is then
@@ -109,9 +124,15 @@ class SupportBasis:
     which :func:`support_system` scales and checks the system.
     """
 
+    _fields = ("coefficients", "_chain", "_edges")
     coefficients: tuple[Scalar, ...]
     _chain: _Form
     _edges: _Form
+
+    def __init__(self, coefficients: tuple[Scalar, ...], _chain: _Form, _edges: _Form) -> None:
+        self._set("coefficients", coefficients)
+        self._set("_chain", _chain)
+        self._set("_edges", _edges)
 
     @cached_property
     def vectors(self) -> tuple[Vec3, ...]:
@@ -163,8 +184,7 @@ def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:
     return SupportBasis(coefficients, tuple(zip(*chain)), tuple(map(tuple, edges)))  # hashable
 
 
-@dataclass(frozen=True)
-class SupportSystem:
+class SupportSystem(_Value):
     """Support vectors ``scale * unscaled[k]`` satisfying all n cyclic conditions.
 
     For odd n the scale is alpha itself, a square root of the rational
@@ -175,8 +195,13 @@ class SupportSystem:
     where a value is written out.
     """
 
+    _fields = ("unscaled", "alpha")
     unscaled: tuple[Vec3, ...]
     alpha: Scalar
+
+    def __init__(self, unscaled: tuple[Vec3, ...], alpha: Scalar) -> None:
+        self._set("unscaled", unscaled)
+        self._set("alpha", alpha)
 
     @property
     def n(self) -> int:
@@ -270,12 +295,16 @@ def _scale(chain: _Form, even: Fraction, odd: Fraction) -> _Form:
     return tuple(zip(*scaled))
 
 
-@dataclass(frozen=True)
-class SupportCheck:
+class SupportCheck(_Value):
     """Result of checking all cyclic conditions; index is the first failure."""
 
+    _fields = ("ok", "failed_index")
     ok: bool
-    failed_index: int | None = None
+    failed_index: int | None
+
+    def __init__(self, ok: bool, failed_index: int | None = None) -> None:
+        self._set("ok", ok)
+        self._set("failed_index", failed_index)
 
 
 def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck:

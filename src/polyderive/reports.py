@@ -65,6 +65,12 @@ def polygon_to_json(polygon: Polygon) -> dict:
     return {"vertices": [vec3_to_json(vertex) for vertex in polygon.vertices]}
 
 
+def _vertex_rows(rows: object) -> list:
+    if not isinstance(rows, list) or len(rows) < 3:
+        raise PolygonFormatError("'vertices' must list at least three points")
+    return rows
+
+
 def polygon_from_json(payload: object) -> Polygon:
     """Accepts {"vertices": [...]} or, for convenience, {"edges": [...]}.
 
@@ -76,9 +82,7 @@ def polygon_from_json(payload: object) -> Polygon:
     if not isinstance(payload, dict):
         raise PolygonFormatError("polygon payload must be a JSON object")
     if "vertices" in payload:
-        rows = payload["vertices"]
-        if not isinstance(rows, list) or len(rows) < 3:
-            raise PolygonFormatError("'vertices' must list at least three points")
+        rows = _vertex_rows(payload["vertices"])
         return Polygon(tuple(vec3_from_json(row) for row in rows))
     if "edges" in payload:
         rows = payload["edges"]
@@ -293,7 +297,8 @@ def plot_lines(payload: dict) -> str:
 
     Accepts either a polygon payload or a full derive/analyze report; reports
     plot the derived polygon when one is present. A payload of the wrong
-    shape, or a vertex beyond double range, raises PolygonFormatError.
+    shape, fewer than three vertices, or a vertex beyond double range raises
+    PolygonFormatError.
     """
     if "derived_analysis" in payload:
         block = payload["derived_analysis"]
@@ -306,7 +311,7 @@ def plot_lines(payload: dict) -> str:
         raise PolygonFormatError("nothing to plot: no vertices in payload")
 
     # Report vertices of an odd derivative are written-out extension values.
-    points = [_vec3(row, parse_scalar) for row in block["vertices"]]
+    points = [_vec3(row, parse_scalar) for row in _vertex_rows(block["vertices"])]
     two_plane = block.get("two_plane")
     tagged = isinstance(two_plane, dict) and bool(two_plane.get("offsets_equal"))
     lines = [f"# polyderive plot data, {len(points)} vertices"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -48,7 +47,7 @@ from .regularity import (
     support_system,
 )
 from .reports import polygon_to_json, vec3_to_json
-from .vectors import area_vector
+from .vectors import _Value, area_vector
 
 SCALE_FACTORS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
 SCALE_PAIRS = (
@@ -65,13 +64,27 @@ class _DegenerateDraw(Exception):
     """The sampled fixture missed a claim's precondition; redraw it."""
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Value):
+    _fields = ("suite", "samples", "failures", "first_counterexample", "redraws")
     suite: str
     samples: int
     failures: int
     first_counterexample: dict | None
-    redraws: int = 0
+    redraws: int
+
+    def __init__(
+        self,
+        suite: str,
+        samples: int,
+        failures: int,
+        first_counterexample: dict | None,
+        redraws: int = 0,
+    ) -> None:
+        self._set("suite", suite)
+        self._set("samples", samples)
+        self._set("failures", failures)
+        self._set("first_counterexample", first_counterexample)
+        self._set("redraws", redraws)
 
     @property
     def passed(self) -> bool:

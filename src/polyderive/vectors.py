@@ -11,20 +11,60 @@ the values they return.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .scalars import QuadExt, Scalar, _scaled_values, parse_rational
 
 
-@dataclass(frozen=True)
-class Vec3:
+class _Value:
+    """Immutable value object: equality, hash and repr over the class's ``_fields``.
+
+    A subclass names its fields in ``_fields`` and stores them in its own
+    ``__init__`` through ``_set``, the ``object.__setattr__`` that assignment
+    otherwise bypasses. Instances compare equal only within one class, hash as
+    the tuple of their fields, and raise ``AttributeError`` on assignment and
+    deletion. ``cached_property`` writes to the instance dictionary directly,
+    so it still works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _set = object.__setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vec3(_Value):
     """Immutable 3-vector with exact components (rational or one fixed extension)."""
 
+    _fields = ("x", "y", "z")
     x: Scalar
     y: Scalar
     z: Scalar
+
+    def __init__(self, x: Scalar, y: Scalar, z: Scalar) -> None:
+        self._set("x", x)
+        self._set("y", y)
+        self._set("z", z)
 
     @classmethod
     def of(cls, x: object, y: object, z: object) -> Vec3:

@@ -618,6 +618,15 @@ class TestPlot:
         assert sum(1 for line in lines if line.startswith("v ")) == 3
         assert sum(1 for line in lines if line.startswith("e ")) == 3
 
+    @pytest.mark.parametrize("vertices", [[], TRIANGLE[:1]], ids=["empty", "one-vertex"])
+    def test_fewer_than_three_vertices_is_a_usage_error(self, capsys, tmp_path, vertices):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out, err = run_cli(capsys, "plot", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: 'vertices' must list at least three points\n"
+
     @pytest.mark.parametrize(
         "payload",
         [

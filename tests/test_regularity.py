@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -254,7 +253,7 @@ class TestSupportSystem:
             support_system(basis, verdict, QuadExt.sqrt(golden.PENTAGON_ALPHA_SQUARED), True)
 
     def test_parity_is_read_off_n(self):
-        assert [field.name for field in fields(SupportSystem)] == ["unscaled", "alpha"]
+        assert SupportSystem._fields == ("unscaled", "alpha")
         hexagon = SupportSystem(golden.REGULAR_HEXAGON_SUPPORT, Fraction(2))
         assert (hexagon.parity, hexagon.scale) == ("even", 1)
         pentagon = build_support_system(golden.PENTAGON_EDGES)
