@@ -56,7 +56,6 @@ class DerivedPolygon(_Value):
     on ``unscaled``.
     """
 
-    _fields = ("unscaled", "scale")
     unscaled: tuple[Vec3, ...]
     scale: Scalar
 
@@ -94,7 +93,6 @@ def derive(system: SupportSystem) -> DerivedPolygon:
 class PlanarityReport(_Value):
     """``witness`` is the 1-based index of the first vertex off the plane."""
 
-    _fields = ("planar", "witness")
     planar: bool
     witness: int | None
 
@@ -154,7 +152,6 @@ class HexType(_Value):
     makes equality of types decidable.
     """
 
-    _fields = ("ratio",)
     ratio: tuple[Fraction, Fraction, Fraction]
 
     def __init__(self, ratio: tuple[Fraction, Fraction, Fraction]) -> None:
@@ -188,7 +185,6 @@ class PlaneDecomposition(_Value):
     hexagons.
     """
 
-    _fields = ("normal", "odd_offsets", "even_offsets", "projections", "projected_area_vector")
     normal: Vec3
     odd_offsets: tuple[Scalar, Scalar, Scalar]
     even_offsets: tuple[Scalar, Scalar, Scalar]
@@ -253,7 +249,6 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
 class SecondDerivativeResult(_Value):
     """Types and determinants of the first and second derivatives."""
 
-    _fields = ("first_type", "second_type", "first_deltas", "second_deltas")
     first_type: HexType
     second_type: HexType
     first_deltas: tuple[Scalar, ...]

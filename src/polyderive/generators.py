@@ -29,7 +29,6 @@ class GenerationBudgetError(RuntimeError):
 class GenConfig(_Value):
     """Sampling knobs: numerators in [-bound, bound], denominators in [1, bound]."""
 
-    _fields = ("seed", "coordinate_bound")
     seed: int
     coordinate_bound: int
 

@@ -96,7 +96,6 @@ Floats = tuple[float, float, float]
 
 
 class FloatMismatch(_Value):
-    _fields = ("field", "detail")
     field: str
     detail: str
 
@@ -106,7 +105,6 @@ class FloatMismatch(_Value):
 
 
 class FloatValidation(_Value):
-    _fields = ("ok", "checks", "mismatches")
     ok: bool
     checks: int
     mismatches: tuple[FloatMismatch, ...]

@@ -33,7 +33,6 @@ class NonGenericPolygonError(ValueError):
 class Polygon(_Value):
     """Closed polygon given by its cyclic vertex list (n >= 3)."""
 
-    _fields = ("vertices",)
     vertices: tuple[Vec3, ...]
 
     def __init__(self, vertices: Sequence[Vec3]) -> None:
@@ -98,7 +97,6 @@ def _deltas(edges: _Form) -> tuple[Fraction, ...]:
 class GenericityReport(_Value):
     """Outcome of the genericity scan; ``index`` is 1-based like all reports."""
 
-    _fields = ("ok", "index", "kind")
     ok: bool
     index: int | None
     kind: str | None  # "collinear_pair" or "coplanar_triple"

@@ -43,7 +43,6 @@ class RegularityVerdict(_Value):
     full product. ``alpha_squared`` is filled for regular odd polygons only.
     """
 
-    _fields = ("regular", "parity", "evidence", "odd_product", "even_product", "alpha_squared")
     regular: bool
     parity: str
     evidence: Scalar
@@ -124,7 +123,6 @@ class SupportBasis(_Value):
     which :func:`support_system` scales and checks the system.
     """
 
-    _fields = ("coefficients", "_chain", "_edges")
     coefficients: tuple[Scalar, ...]
     _chain: _Form
     _edges: _Form
@@ -195,7 +193,6 @@ class SupportSystem(_Value):
     where a value is written out.
     """
 
-    _fields = ("unscaled", "alpha")
     unscaled: tuple[Vec3, ...]
     alpha: Scalar
 
@@ -298,7 +295,6 @@ def _scale(chain: _Form, even: Fraction, odd: Fraction) -> _Form:
 class SupportCheck(_Value):
     """Result of checking all cyclic conditions; index is the first failure."""
 
-    _fields = ("ok", "failed_index")
     ok: bool
     failed_index: int | None
 

@@ -65,7 +65,6 @@ class _DegenerateDraw(Exception):
 
 
 class SuiteResult(_Value):
-    _fields = ("suite", "samples", "failures", "first_counterexample", "redraws")
     suite: str
     samples: int
     failures: int

@@ -20,16 +20,21 @@ from .scalars import QuadExt, Scalar, _scaled_values, parse_rational
 class _Value:
     """Immutable value object: equality, hash and repr over the class's ``_fields``.
 
-    A subclass names its fields in ``_fields`` and stores them in its own
-    ``__init__`` through ``_set``, the ``object.__setattr__`` that assignment
-    otherwise bypasses. Instances compare equal only within one class, hash as
-    the tuple of their fields, and raise ``AttributeError`` on assignment and
-    deletion. ``cached_property`` writes to the instance dictionary directly,
-    so it still works on them.
+    A subclass declares its fields as class annotations, in order; ``_fields``
+    is read off them. It stores them in its own ``__init__`` through ``_set``,
+    the ``object.__setattr__`` that assignment otherwise bypasses. Instances
+    compare equal only within one class, hash as the tuple of their fields,
+    and raise ``AttributeError`` on assignment and deletion.
+    ``cached_property`` writes to the instance dictionary directly, so it
+    still works on them.
     """
 
     _fields: tuple[str, ...] = ()
     _set = object.__setattr__
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -56,7 +61,6 @@ class _Value:
 class Vec3(_Value):
     """Immutable 3-vector with exact components (rational or one fixed extension)."""
 
-    _fields = ("x", "y", "z")
     x: Scalar
     y: Scalar
     z: Scalar

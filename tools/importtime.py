@@ -2,10 +2,11 @@
 
 Usage::
 
-    python3 tools/importtime.py PARENT/src CHANGE/src [--rounds 20]
+    python3 tools/importtime.py PARENT/src CHANGE/src
 
-Each round runs, for each tree in turn (the order alternating from round to
-round), two fresh interpreters with that tree alone on ``PYTHONPATH``:
+Each of ``ROUNDS`` (20) rounds runs, for each tree in turn (the order
+alternating from round to round), two fresh interpreters with that tree alone
+on ``PYTHONPATH``:
 
 - ``python -X importtime -c "import polyderive.cli"``, reading the
   cumulative import time of ``polyderive.cli`` from its stderr;
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 PENTAGON = Path(__file__).resolve().parent.parent / "fixtures" / "pentagon.json"
+ROUNDS = 20
 
 
 def _env(src: Path) -> dict:
@@ -63,7 +65,6 @@ def check_cpu_s(src: Path) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, type=Path, help="two src directories")
-    parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees]
     for tree in trees:
@@ -73,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         check_cpu_s(tree)
     imports = {tree: [] for tree in trees}
     cpu = {tree: [] for tree in trees}
-    for round_index in range(args.rounds):
+    for round_index in range(ROUNDS):
         for tree in trees if round_index % 2 == 0 else trees[::-1]:
             imports[tree].append(import_us(tree))
             cpu[tree].append(check_cpu_s(tree))
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         (statistics.median(imports[tree]) / 1e3, statistics.median(cpu[tree]) * 1e3)
         for tree in trees
     ]
-    print(f"{args.rounds} interleaved rounds per tree, {sys.implementation.name} "
+    print(f"{ROUNDS} interleaved rounds per tree, {sys.implementation.name} "
           f"{sys.version.split()[0]}, {os.cpu_count()} cores")
     print(f"{'tree':<40} {'import polyderive.cli ms':>25} {'cold check CPU ms':>18}")
     for tree, (import_ms, cpu_ms) in zip(trees, medians):
