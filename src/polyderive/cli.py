@@ -76,7 +76,10 @@ def _json(value: object, pad: str) -> str:
             return brackets
         inner = pad + "  "
         if kind is dict:
-            items = [_quote(key) + ": " + _json(item, inner) for key, item in value.items()]
+            items = [
+                _quote(key) + ": " + (_quote(item) if type(item) is str else _json(item, inner))
+                for key, item in value.items()
+            ]
         else:
             items = [_quote(item) if type(item) is str else _json(item, inner) for item in value]
         text = (",\n" + inner).join(items)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .polygon import Polygon, _deltas, _edges, _nonzero, edge_vectors
+from .polygon import Polygon, _deltas, _edges, _nonzero
 from .regularity import (
     SupportSystem,
     _support_basis,
@@ -24,10 +24,13 @@ from .regularity import (
 from .scalars import Scalar, _scaled_values
 from .vectors import (
     Vec3,
+    _Form,
+    _Points,
     _Value,
     _int_cross,
     _int_difference,
     _integer_coordinates,
+    _rational_vector,
     area_vector,
     cross,
     dot,
@@ -46,14 +49,14 @@ class DegenerateQuadrangleError(ValueError):
     """All four vertices of a quadrangle are collinear, so it spans no plane."""
 
 
-class DerivedPolygon(_Value):
+class DerivedPolygon(_Points):
     """Polygon whose vertices are support vectors read as points from one origin.
 
     The vertices are ``scale * unscaled[k]``. A derivative keeps its support
     system's split: rational ``unscaled`` points and the scale alpha for odd
     n, scale one for even n. Planarity witnesses, zero patterns and ratios of
     determinants do not change under a nonzero scale, so the exact tests run
-    on ``unscaled``.
+    on ``unscaled``. A derivative holds ``unscaled`` in its system's int form.
     """
 
     unscaled: tuple[Vec3, ...]
@@ -67,9 +70,13 @@ class DerivedPolygon(_Value):
         if len(self.unscaled) % 2 == 0 and self.scale != 1:
             raise ValueError("an even derived polygon has scale one")
 
-    @property
-    def n(self) -> int:
-        return len(self.unscaled)
+    @classmethod
+    def _of(cls, form: _Form, scale: Scalar) -> DerivedPolygon:
+        """The polygon of unscaled points in the int form, already known to be valid."""
+        polygon = cls.__new__(cls)
+        polygon._set("_form", form)
+        polygon._set("scale", scale)
+        return polygon
 
     @cached_property
     def vertices(self) -> tuple[Vec3, ...]:
@@ -82,12 +89,12 @@ class DerivedPolygon(_Value):
     @property
     def unscaled_edges(self) -> tuple[Vec3, ...]:
         """Edges of the unscaled points; the edges are ``scale`` times these."""
-        return edge_vectors(Polygon(self.unscaled))
+        return tuple(map(_rational_vector, *_edges(self._form)))
 
 
 def derive(system: SupportSystem) -> DerivedPolygon:
     """Read the support vectors as vertices of the derived polygon."""
-    return DerivedPolygon(system.unscaled, system.scale)
+    return DerivedPolygon._of(system._form, system.scale)
 
 
 class PlanarityReport(_Value):
@@ -106,23 +113,27 @@ def is_planar(polygon: PolygonLike) -> PlanarityReport:
 
     Triangles are trivially planar. A derived polygon is tested on its
     unscaled points, which are coplanar exactly when the vertices are, so the
-    check runs over the rationals for either parity, on int triples made up to
-    the witness only: each offset from the first point is an int triple over
-    a positive denominator, a scale that keeps every witness nonzero.
+    check runs over the rationals for either parity, on int triples: each
+    offset from the first point is an int triple over a positive
+    denominator, a scale that keeps every witness nonzero. A derived polygon
+    is read in its int form; the vertices of a :class:`Polygon` are cleared
+    one at a time, up to the witness only.
     """
-    points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
-    if len(points) < 4:
+    if polygon.n < 4:
         return PlanarityReport(True)
-    ints, dens = _integer_coordinates(points[:3])
-    base, low = ints[0], dens[0]
-    span_a, _ = _int_difference(base, low, ints[1], dens[1])
-    span_b, _ = _int_difference(base, low, ints[2], dens[2])
+    if isinstance(polygon, DerivedPolygon):
+        pairs = zip(*polygon._form)
+    else:
+        cleared = map(_integer_coordinates, zip(polygon.vertices))
+        pairs = ((ints[0], dens[0]) for ints, dens in cleared)
+    (base, low), first, second = next(pairs), next(pairs), next(pairs)
+    span_a, _ = _int_difference(base, low, *first)
+    span_b, _ = _int_difference(base, low, *second)
     normal = _int_cross(span_a, span_b)
-    for k in range(3, len(points)):
-        (point,), (den,) = _integer_coordinates(points[k : k + 1])
+    for k, (point, den) in enumerate(pairs, 4):
         (x, y, z), _ = _int_difference(base, low, point, den)
         if normal[0] * x + normal[1] * y + normal[2] * z:
-            return PlanarityReport(False, k + 1)
+            return PlanarityReport(False, k)
     return PlanarityReport(True)
 
 
@@ -131,7 +142,7 @@ def derived_deltas(polygon: DerivedPolygon) -> tuple[Scalar, ...]:
 
     They are ``scale**3`` times those of the unscaled edges.
     """
-    values = _deltas(_edges(_integer_coordinates(polygon.unscaled)))
+    values = _deltas(_edges(polygon._form))
     return tuple(_scaled_values(values, polygon.scale, 3))
 
 
@@ -278,7 +289,7 @@ def second_derivative_type(
     and raises. The intermediate's determinants, on its edges (scale one),
     serve its type and the next chain.
     """
-    first_edges = _edges(_integer_coordinates(build_support_system(edges, alpha=alpha1).unscaled))
+    first_edges = _edges(build_support_system(edges, alpha=alpha1)._form)
     first_values = _deltas(first_edges)
     first_type = hex_type(first_values)
     basis = _support_basis(first_edges, first_values)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polygon import _nonzero, deltas
-from .scalars import Scalar
+from .scalars import Scalar, _ratio
 from .vectors import ZERO_VEC, Vec3, _Value, cross, mixed
 
 
@@ -117,14 +117,27 @@ class FloatValidation(_Value):
 
 def _as_float(obj: object) -> float:
     if isinstance(obj, dict):
-        return float(Fraction(obj["a"])) + float(Fraction(obj["b"])) * math.sqrt(
-            float(Fraction(obj["d"]))
+        return _rational_float(obj["a"]) + _rational_float(obj["b"]) * math.sqrt(
+            _rational_float(obj["d"])
         )
     if isinstance(obj, str):
-        return float(Fraction(obj))
+        return _rational_float(obj)
     if isinstance(obj, (int, float)):
         return float(obj)
     raise TypeError(f"cannot convert {obj!r} to float")
+
+
+def _rational_float(value: object) -> float:
+    """``float(Fraction(value))``, bit for bit, with no ``Fraction`` for a plain ``"p/q"``.
+
+    Int true division is correctly rounded, and it is what
+    ``Fraction.__float__`` runs on the reduced pair, so ``p / q`` gives the
+    same float and, past double range, the same ``OverflowError``.
+    """
+    ratio = _ratio(value) if type(value) is str else None
+    if ratio is None:
+        return float(Fraction(value))
+    return ratio[0] / ratio[1]
 
 
 def _float_rows(rows: Sequence[Sequence[object]]) -> list[Floats]:

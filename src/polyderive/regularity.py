@@ -22,6 +22,7 @@ from .scalars import QuadExt, Scalar, _power, format_scalar
 from .vectors import (
     Vec3,
     _Form,
+    _Points,
     _Value,
     _cleared,
     _int_cross,
@@ -182,7 +183,7 @@ def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:
     return SupportBasis(coefficients, tuple(zip(*chain)), tuple(map(tuple, edges)))  # hashable
 
 
-class SupportSystem(_Value):
+class SupportSystem(_Points):
     """Support vectors ``scale * unscaled[k]`` satisfying all n cyclic conditions.
 
     For odd n the scale is alpha itself, a square root of the rational
@@ -190,7 +191,8 @@ class SupportSystem(_Value):
     even positions and b_k / r at odd ones (1-based), since 1/alpha = alpha/r.
     For even n alpha is rational and already folded into ``unscaled``, so the
     scale is one. Exact checks run on ``unscaled``; the scale enters only
-    where a value is written out.
+    where a value is written out. A system that :func:`support_system` built
+    holds ``unscaled`` in the int form it was checked in.
     """
 
     unscaled: tuple[Vec3, ...]
@@ -200,9 +202,13 @@ class SupportSystem(_Value):
         self._set("unscaled", unscaled)
         self._set("alpha", alpha)
 
-    @property
-    def n(self) -> int:
-        return len(self.unscaled)
+    @classmethod
+    def _of(cls, form: _Form, alpha: Scalar) -> SupportSystem:
+        """The system of unscaled vectors in the int form."""
+        system = cls.__new__(cls)
+        system._set("_form", form)
+        system._set("alpha", alpha)
+        return system
 
     @property
     def parity(self) -> str:
@@ -279,16 +285,28 @@ def support_system(
             f"support system failed verification at condition {checked.failed_index}; "
             "this is a bug"
         )
-    return SupportSystem(tuple(map(_rational_vector, *unscaled)), alpha)
+    return SupportSystem._of(unscaled, alpha)
 
 
 def _scale(chain: _Form, even: Fraction, odd: Fraction) -> _Form:
     """The scaling step of :func:`support_system`: ``even`` times the vectors at
-    even positions (1-based), ``odd`` times the others, in the int form."""
-    scaled = [
-        (point, den) if f == 1 else _cleared(point, f.denominator * den, f.numerator)
-        for f, point, den in zip(itertools.cycle((odd, even)), *chain)
-    ]
+    even positions (1-based), ``odd`` times the others, in the int form.
+
+    Each vector V / L of the chain has gcd(V, L) = 1, and a factor p / q has
+    gcd(p, q) = 1. So, as in a Fraction product, cancelling gcd(p, L) and
+    gcd(q, V) apart, on the smaller ints, leaves the product in lowest terms.
+    """
+    gcd = math.gcd
+    scaled = []
+    for f, point, den in zip(itertools.cycle((odd, even)), *chain):
+        if f == 1:
+            scaled.append((point, den))
+            continue
+        p, q = f.numerator, f.denominator
+        g, h = gcd(p, den), gcd(q, *point)
+        t = p // g
+        x, y, z = point
+        scaled.append(((t * (x // h), t * (y // h), t * (z // h)), q // h * (den // g)))
     return tuple(zip(*scaled))
 
 
@@ -314,11 +332,11 @@ def verify_support(system: SupportSystem, edges: Sequence[Vec3]) -> SupportCheck
     s m_{i+1} cross(Q_i, Q_{i+1}) = t L_i L_{i+1} E_{i+1}. A scale whose
     square is not rational raises ``ValueError``.
     """
-    vectors, square = system.unscaled, _power(system.scale, 2)[0]
+    square = _power(system.scale, 2)[0]
     chain = tuple(edges)
-    if len(vectors) != len(chain):
+    if system.n != len(chain):
         raise ValueError("support system and edge list sizes differ")
-    return _verify_support(_integer_coordinates(vectors), square, _integer_coordinates(chain))
+    return _verify_support(system._form, square, _integer_coordinates(chain))
 
 
 def _verify_support(support: _Form, square: Fraction, edges: _Form) -> SupportCheck:

@@ -29,8 +29,15 @@ from .regularity import (
     check_regularity,
     support_system,
 )
-from .scalars import Scalar, _format_scaled, format_scalar, parse_rational, parse_scalar
-from .vectors import ZERO_VEC, Vec3, _Form, _integer_coordinates, _rational_vector, area_vector
+from .scalars import (
+    Scalar,
+    _format_rows,
+    _format_scaled,
+    format_scalar,
+    parse_rational,
+    parse_scalar,
+)
+from .vectors import ZERO_VEC, Vec3, _area_vector, _Form, _integer_coordinates
 
 
 class PolygonFormatError(ValueError):
@@ -39,12 +46,6 @@ class PolygonFormatError(ValueError):
 
 def vec3_to_json(vector: Vec3) -> list:
     return [format_scalar(component) for component in vector]
-
-
-def _scaled_rows(vectors: Sequence[Vec3], scale: Scalar) -> list[list]:
-    """JSON rows of ``scale * v`` for rational vectors, written in one pass."""
-    flat = _format_scaled([c for v in vectors for c in v], scale, 1)
-    return [flat[k : k + 3] for k in range(0, len(flat), 3)]
 
 
 def vec3_from_json(items: object) -> Vec3:
@@ -162,7 +163,7 @@ def _support_json(system: SupportSystem) -> dict:
     return {
         "parity": system.parity,
         "alpha": format_scalar(system.alpha),
-        "vectors": _scaled_rows(system.unscaled, system.scale),
+        "vectors": _format_rows(system._form, system.scale),
     }
 
 
@@ -206,10 +207,9 @@ def _analysis(
     ``scale``, are the caller's. Zero patterns, planarity and the hexagon and
     quadrangle tests do not change under a nonzero scale.
     """
-    points = polygon.unscaled
     planarity = is_planar(polygon)
     if area is None:
-        area = area_vector(points)
+        area = _area_vector(polygon._form)
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
     written = _format_scaled(area, polygon.scale, 2)
@@ -223,7 +223,7 @@ def _analysis(
     if polygon.n == 3:
         block["note"] = "triangles are trivially planar and never generic"
     if polygon.n == 4 and planarity.planar:
-        block["self_intersecting"] = _self_intersecting(points)
+        block["self_intersecting"] = _self_intersecting(polygon.unscaled)
     if polygon.n == 6 and generic:
         _type_fields(block, values)
         block["two_plane"] = _two_plane_json(polygon)
@@ -256,20 +256,21 @@ def derive_report(
     support = _support_json(system)
     report["support_system"] = {
         **support,
-        "basis_vectors": [vec3_to_json(vector) for vector in basis.vectors],
+        "basis_vectors": _format_rows(basis._chain, Fraction(1)),
         "basis_coefficients": [format_scalar(c) for c in basis.coefficients],
         "verified": True,
     }
     # The derived vertices are the support vectors: formatted once, then
-    # copied so that the two fields share no list or dict.
+    # copied so that the two fields share no list or dict. Every row is
+    # written from its int form.
     derived = derive(system)
-    derived_edges = _edges(_integer_coordinates(system.unscaled))
+    derived_edges = _edges(derived._form)
     block = {
         "vertices": [
             [dict(part) if isinstance(part, dict) else part for part in row]
             for row in support["vectors"]
         ],
-        "edges": _scaled_rows(tuple(map(_rational_vector, *derived_edges)), derived.scale),
+        "edges": _format_rows(derived_edges, derived.scale),
     }
     # support_system checked scale**2 * cross(q_i, q_{i+1}) = v_{i+1} for
     # every i, so the area vector of the unscaled points is the sum of the

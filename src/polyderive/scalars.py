@@ -45,6 +45,9 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         if not value.isascii() or "_" in value:  # Fraction reads "1_0" and Unicode digits
             raise ValueError(f"cannot parse rational from {value!r}")
         text = value.strip()
+        ratio = _ratio(text)
+        if ratio is not None:
+            return Fraction(*ratio)
         try:
             exponent = int(text.upper().partition("E")[2] or 0)
         except ValueError:
@@ -56,6 +59,26 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise TypeError(f"cannot parse rational from {type(value).__name__} value {value!r}")
+
+
+def _ratio(text: str) -> tuple[int, int] | None:
+    """``(p, q)`` of a plain ASCII ``[+-]digits`` or ``[+-]digits/digits`` string, else None.
+
+    ``q`` is positive, and one for an integer. Any other string gives None,
+    and so does a zero denominator or a part longer than ``int`` reads: such
+    a string is left to ``Fraction``, so that its error is Fraction's own.
+    """
+    top, slash, bottom = text.partition("/")
+    digits = top[1:] if top[:1] in ("+", "-") else top
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    if slash and not (bottom.isdigit() and bottom.isascii()):
+        return None
+    try:
+        q = int(bottom) if slash else 1
+        return (int(top), q) if q else None
+    except ValueError:  # beyond the int-string digit limit
+        return None
 
 
 class QuadExt:
@@ -235,12 +258,37 @@ def _scaled_values(values: Iterable[Fraction], scale: Scalar, power: int) -> lis
 
 
 def _format_scaled(values: Iterable[Fraction], scale: Scalar, power: int) -> list:
-    """The :func:`format_scalar` forms of ``scale**power * x``, built with no :class:`QuadExt`.
-
-    An ``{"a", "b", "d"}`` object is written with its radicand formatted once for all.
-    """
+    """The :func:`format_scalar` forms of ``scale**power * x``, built with no :class:`QuadExt`."""
     factor, radicand, radical = _power(scale, power)
-    texts = [_rational_text(x) for x in _products(values, factor)]
+    return _with_radical([_rational_text(x) for x in _products(values, factor)], radicand, radical)
+
+
+def _format_rows(form: tuple, scale: Scalar) -> list[list]:
+    """JSON rows of ``scale * points[k] / dens[k]`` for vectors ``form = (points, dens)`` in the
+    int form.
+
+    ``dens[k]`` is positive. Each component is reduced once on ints, with no
+    ``Fraction``, into the text :func:`_format_scaled` writes for it at power one.
+    """
+    factor, radicand, radical = _power(scale, 1)
+    p, q = factor.numerator, factor.denominator
+    gcd = math.gcd
+    texts = []
+    for point, den in zip(*form):
+        den *= q
+        for x in point:
+            x *= p
+            g = gcd(x, den)
+            texts.append(_ratio_text(x // g, den // g))
+    flat = _with_radical(texts, radicand, radical)
+    return [flat[k : k + 3] for k in range(0, len(flat), 3)]
+
+
+def _with_radical(texts: list[str], radicand: Fraction | None, radical: bool) -> list:
+    """Rational texts as they stand, or as ``{"a", "b", "d"}`` objects over ``radicand``.
+
+    The radicand is formatted once for all.
+    """
     if radicand is None:
         return texts
     d = _rational_text(radicand)
@@ -272,10 +320,16 @@ def _rational_text(value: Fraction | int) -> str:
     try:
         return str(value)
     except ValueError:
-        numerator = _decimal(value.numerator)
-        if value.denominator == 1:
-            return numerator
-        return f"{numerator}/{_decimal(value.denominator)}"
+        return _ratio_text(value.numerator, value.denominator)
+
+
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` of a pair in lowest terms, denominator positive."""
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:  # a part too long for str
+        top = _decimal(numerator)
+        return top if denominator == 1 else f"{top}/{_decimal(denominator)}"
 
 
 def format_scalar(value: Scalar | int) -> str | dict[str, str]:

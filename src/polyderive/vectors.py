@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .scalars import QuadExt, Scalar, _scaled_values, parse_rational
@@ -190,6 +191,28 @@ def _rational_vector(v: tuple[int, int, int], den: int) -> Vec3:
     return Vec3(Fraction(v[0], den), Fraction(v[1], den), Fraction(v[2], den))
 
 
+class _Points(_Value):
+    """A value over rational vectors ``unscaled`` that may hold them in the int form.
+
+    The public constructor stores ``unscaled``; a pipeline stage stores the
+    int form ``_form`` it computed on instead. Each is built from the other on
+    first read, so a stage that only writes or re-checks the vectors builds no
+    ``Fraction``.
+    """
+
+    @cached_property
+    def unscaled(self) -> tuple[Vec3, ...]:
+        return tuple(map(_rational_vector, *self._form))
+
+    @cached_property
+    def _form(self) -> _Form:
+        return _integer_coordinates(self.unscaled)
+
+    @property
+    def n(self) -> int:
+        return len(self._form[1] if "_form" in self.__dict__ else self.unscaled)
+
+
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product; orthogonal to both arguments."""
     (pa, pb), (ma, mb) = _integer_coordinates((a, b))
@@ -216,9 +239,15 @@ def area_vector(points: Sequence[Vec3]) -> Vec3:
     count = len(points)
     if count < 3:
         raise ValueError(f"area vector needs at least 3 points, got {count}")
+    return _area_vector(_integer_coordinates(points))
+
+
+def _area_vector(points: _Form) -> Vec3:
+    """:func:`area_vector` of at least three points in the int form."""
     # The sum needs one denominator for every term: the LCM m of the
     # points' own denominators.
-    ints, dens = _integer_coordinates(points)
+    ints, dens = points
+    count = len(ints)
     m = math.lcm(*dens)
     ints = [
         p if d == m else (p[0] * (m // d), p[1] * (m // d), p[2] * (m // d))

@@ -324,10 +324,21 @@ class TestReportsRunEachCheckOnce:
     def test_one_planarity_check_per_quadrangle(self, monkeypatch):
         from polyderive.reports import analyze_report, derive_report
 
+        import polyderive.derived
+
         calls = self._count_calls(monkeypatch, "is_planar")
+        cleared = []
+        real = polyderive.derived._integer_coordinates
+
+        def counted(rows):
+            cleared.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(polyderive.derived, "_integer_coordinates", counted)
         report = derive_report(golden.fixture_polygon("quadrangle.json"), alpha=Fraction(1))
         assert report["derived_analysis"]["self_intersecting"]
         assert len(calls) == 1
+        assert cleared == []  # the derivative is tested in the int form its system holds
         square = Polygon(vecs((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
         assert analyze_report(square)["self_intersecting"] is False
         assert len(calls) == 2

@@ -289,6 +289,30 @@ class TestScaledOddSystems:
             assert views == expected
             assert list(map(format_scalar, views)) == list(map(format_scalar, expected))
 
+    @SETTINGS
+    @given(
+        st.one_of(
+            rationals,
+            st.builds(lambda b, d: QuadExt(0, b, d), rationals, radicands),
+            st.builds(lambda a, d: QuadExt(a, 0, d), rationals, radicands),
+        ),
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-(10**30), 10**30)] * 3),
+                st.one_of(st.integers(1, 10**6), st.sampled_from([2**61 - 1, 10**25 + 13])),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_rows_from_the_int_form_match_the_writer(self, scale, vectors_):
+        # Rows written from int triples over a denominator, unreduced or not,
+        # read as the writer's text for the reduced Fractions.
+        form = ([point for point, _den in vectors_], [den for _point, den in vectors_])
+        values = [Fraction(x, den) for point, den in vectors_ for x in point]
+        flat = _format_scaled(values, scale, 1)
+        rows = [flat[k : k + 3] for k in range(0, len(flat), 3)]
+        assert scalars._format_rows(form, scale) == rows
+
     @pytest.mark.parametrize("a,b", [(1, 1), (-1, -1), (1, -1), (-1, 1), (3, -2)])
     def test_writer_needs_a_zero_part(self, a, b):
         scale = QuadExt(a, b, 2)
@@ -321,15 +345,35 @@ class TestDerivedAreaVector:
 
 
 def count_writes(monkeypatch) -> list:
-    """Record the values and power of every ``_format_scaled`` call of ``reports``."""
+    """Record every write of ``reports`` in order: ``("rows", form)`` for a
+    ``_format_rows`` call, ``(power, values)`` for a ``_format_scaled`` one."""
     calls = []
-    real = reports._format_scaled
+    real_rows, real_scaled = reports._format_rows, reports._format_scaled
 
-    def counted(values, scale, power):
-        calls.append((list(values), power))
-        return real(values, scale, power)
+    def rows(points, scale):
+        calls.append(("rows", as_form(points)))
+        return real_rows(points, scale)
 
-    monkeypatch.setattr(reports, "_format_scaled", counted)
+    def scaled(values, scale, power):
+        calls.append((power, list(values)))
+        return real_scaled(values, scale, power)
+
+    monkeypatch.setattr(reports, "_format_rows", rows)
+    monkeypatch.setattr(reports, "_format_scaled", scaled)
+    return calls
+
+
+def count_rational_vectors(monkeypatch) -> list:
+    """Record the arguments of every ``vectors._rational_vector`` call of the pipeline."""
+    calls = []
+    real = vectors._rational_vector
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (vectors, polygon_module, regularity, derived_module, reports):
+        monkeypatch.setattr(module, "_rational_vector", counted, raising=False)
     return calls
 
 
@@ -348,16 +392,30 @@ def objects_in(value) -> set:
 class TestDeriveReportWritesSupportOnce:
     @pytest.mark.parametrize("name, alpha", DERIVE_CASES)
     def test_support_vectors_written_once(self, monkeypatch, name, alpha):
-        # One write each for the support vectors, the derived edges and the
-        # area vector, then the derived determinants if the derivative is
-        # generic (a derived pentagon is planar, so it is not); the derived
-        # vertices are the support vectors and are not written again.
+        # The support vectors, the chain and the derived edges are written
+        # as rows straight from the int form, one write each; then the area
+        # vector, and the derived determinants if the derivative is generic
+        # (a derived pentagon is planar, so it is not). The derived vertices
+        # are the support vectors and are not written again. No Fraction
+        # vector is built but by the derived hexagon's two-plane split: its
+        # points, read once, then its normal and projected area vector.
         writes = count_writes(monkeypatch)
+        built = count_rational_vectors(monkeypatch)
         polygon = golden.fixture_polygon(name)
         derive_report(polygon, alpha=alpha)
-        support = build_support_system(edge_vectors(polygon), alpha).unscaled
-        assert [power for _values, power in writes] == [1, 1, 2, 3][: max(3, len(writes))]
-        assert [values for values, _power in writes].count([c for v in support for c in v]) == 1
+        built = list(built)
+        kinds = [kind for kind, _data in writes]
+        assert kinds == ["rows", "rows", "rows", 2, 3][: max(4, len(kinds))]
+        system = build_support_system(edge_vectors(polygon), alpha)
+        basis = support_basis(edge_vectors(polygon))
+        support, chain, derived_edges = (data for _kind, data in writes[:3])
+        assert support == as_form(system._form)
+        assert chain == as_form(basis._chain)
+        assert derived_edges == as_form(polygon_module._edges(system._form))
+        if polygon.n == 6:
+            assert built[:6] == list(zip(*system._form)) and len(built) == 8
+        else:
+            assert built == []
 
     def test_pentagon_builds_alpha_and_no_other_extension_value(self, monkeypatch):
         # Every power of alpha is written from its parts.
@@ -594,23 +652,25 @@ class TestIntegerPath:
             derive(system).unscaled_edges
         )
 
-    def test_a_derive_report_clears_two_full_lists(self, monkeypatch):
-        # The input vertices and the unscaled support vectors; every other
-        # stage takes the int form it is handed. is_planar clears the first
-        # three points and then each point up to the witness, here the fourth.
+    def test_a_derive_report_clears_the_input_vertices_once(self, monkeypatch):
+        # Every stage after the input vertices takes the int form it is
+        # handed: the support system keeps the form it was checked in, and
+        # the derived polygon, is_planar and the writer read it. No Fraction
+        # vector is built.
         polygon = regular_odd_polygon(random.Random(611), 21)
         real = vectors._integer_coordinates
-        sizes = []
+        cleared = []
 
         def counted(rows):
-            sizes.append(len(rows))
+            cleared.append(rows)
             return real(rows)
 
         for module in (vectors, polygon_module, regularity, derived_module, reports):
             monkeypatch.setattr(module, "_integer_coordinates", counted, raising=False)
+        built = count_rational_vectors(monkeypatch)
         derive_report(polygon)
-        assert sizes.count(21) <= 2
-        assert [size for size in sizes if size != 21] == [3, 1]
+        assert cleared == [polygon.vertices]
+        assert built == []
 
     def test_genericity_is_decided_on_the_int_form(self, monkeypatch):
         # A zero determinant leads to the pair scan, on the int edges and

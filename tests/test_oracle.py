@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from polyderive import (
     regular_hexagon_via_lift,
     row_sum_defect,
 )
+from polyderive.oracle import _as_float
 from polyderive.reports import analyze_report, check_report, derive_report, polygon_from_json
 
 # Lifted hexagons whose derived determinants at scale 1/2 are up to 1e8 times
@@ -307,3 +309,56 @@ class TestFloatCrossValidation:
         assert not validation.ok
         assert validation.checks == 5
         assert all(m.detail.startswith("out of float range") for m in validation.mismatches)
+
+
+# Ints up to and past double range, so that quotients overflow, land in the
+# subnormals or round to zero.
+_wide = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**330), 10**330),
+    st.sampled_from([2**1024, 2**1024 - 2**970, 2**1074, 3**700]),
+)
+
+
+def fraction_float(text: str) -> float:
+    return float(Fraction(text))
+
+
+class TestWrittenValuesAsFloats:
+    """The oracle reads a plain ``"p/q"`` with the int reader, bit for bit as Fraction did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide, _wide.filter(bool), st.sampled_from(["int", "ratio", "ratio"]))
+    def test_bit_for_bit(self, p, q, shape):
+        text = str(p) if shape == "int" else f"{p}/{abs(q)}"
+        try:
+            expected = fraction_float(text)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError) as caught:
+                _as_float(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _as_float(text).hex() == expected.hex()
+
+    @given(_wide, _wide.filter(bool), st.integers(1, 10**6))
+    def test_extension_objects(self, a, b, d):
+        value = {"a": str(a), "b": f"{b}/7", "d": str(d)}
+        try:
+            expected = fraction_float(value["a"]) + fraction_float(value["b"]) * math.sqrt(d)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _as_float(value)
+        else:
+            assert _as_float(value).hex() == expected.hex()
+
+    def test_overflow_keeps_its_text(self):
+        text = "1" + "0" * 399  # 400 digits
+        with pytest.raises(OverflowError) as caught:
+            _as_float(text)
+        assert str(caught.value) == "integer division result too large for a float"
+        with pytest.raises(OverflowError, match=f"^{caught.value}$"):
+            fraction_float(text)
+
+    @pytest.mark.parametrize("text", [" 1/2", "0.5", "1e-3", "+7", "-0", "3/6"])
+    def test_other_strings_read_as_fraction_reads_them(self, text):
+        assert _as_float(text).hex() == fraction_float(text).hex()

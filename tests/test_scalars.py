@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import read_long
@@ -27,6 +27,46 @@ def quad(a, b, d=Fraction(2)) -> QuadExt:
 
 
 quads = st.builds(quad, rationals, rationals)
+
+
+def fraction_grammar(value: str) -> Fraction:
+    """A coordinate string read by ``Fraction`` alone, as the grammar stood before the int reader."""
+    if not value.isascii() or "_" in value:
+        raise ValueError(f"cannot parse rational from {value!r}")
+    text = value.strip()
+    try:
+        exponent = int(text.upper().partition("E")[2] or 0)
+    except ValueError:
+        exponent = 0
+    if abs(exponent) > 4300:
+        raise ValueError(f"decimal exponent of {value!r} is beyond ±4300")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse rational from {value!r}") from exc
+
+
+# Coordinate strings near the plain "p/q" form: signs (doubled too), leading
+# zeros, -0, zero and signed denominators, empty parts, decimals, exponents,
+# surrounding whitespace, and a part beyond the 4300-digit int-string limit.
+_digits = st.one_of(
+    st.just(""),
+    st.from_regex(r"\A[0-9]{1,25}\Z"),
+    st.sampled_from(["0", "00", "007", "1" * 4300, "9" * 4301]),
+)
+coordinate_texts = st.builds(
+    lambda lead, sign, top, slash, bottom_sign, bottom, tail, trail: (
+        lead + sign + top + (slash + bottom_sign + bottom if slash else "") + tail + trail
+    ),
+    st.sampled_from(["", " ", "\t", "\n "]),
+    st.sampled_from(["", "+", "-", "+-", "--"]),
+    _digits,
+    st.sampled_from(["", "/"]),
+    st.sampled_from(["", "", "-", "+"]),
+    _digits,
+    st.sampled_from(["", "", ".5", ".", "e3", "E-2", "e+4301", "x", "/3", "_1", "\u0663"]),
+    st.sampled_from(["", " ", "\n"]),
+)
 
 
 class TestRational:
@@ -63,6 +103,22 @@ class TestRational:
     def test_string_round_trip(self):
         for value in (Fraction(1, 2), Fraction(-3), Fraction(0)):
             assert parse_rational(format_scalar(value)) == value
+
+    @settings(max_examples=400, deadline=None)
+    @given(coordinate_texts)
+    def test_the_int_reader_keeps_the_grammar(self, text):
+        # Plain "p" and "p/q" take the int reader; every string must still
+        # give what the Fraction-only grammar gave, value or error.
+        try:
+            expected = fraction_grammar(text)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                parse_rational(text)
+            assert str(caught.value) == str(exc)
+        else:
+            value = parse_rational(text)
+            assert type(value) is Fraction
+            assert value == expected
 
 
 class TestQuadExtArithmetic:

@@ -181,3 +181,25 @@ class TestCounterexamples:
         polygon = random_regular_pentagon(GenConfig(seed=example["seed"]))
         assert example["polygon"] == polygon_to_json(polygon)
         assert example["failed"] == "planarity"
+
+
+class TestSuiteWork:
+    def test_thm51_builds_no_support_vectors_it_does_not_read(self, monkeypatch):
+        # thm51 checks one support system per hexagon and reads none of its
+        # vectors, so the system keeps the int form it was checked in. What
+        # is left is the lift's own work (its support points and their
+        # crosses) and its edges rebuilt by edge_vectors: 12 Fraction vectors
+        # per sample, against 18 when the system built its own.
+        from polyderive import derived, generators, polygon, regularity, vectors
+
+        calls = []
+        real = vectors._rational_vector
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (vectors, polygon, regularity, derived, generators, suites):
+            monkeypatch.setattr(module, "_rational_vector", counted, raising=False)
+        assert run_suite("thm51", 100, seed=0).passed
+        assert len(calls) <= 1200
