@@ -9,8 +9,9 @@ Usage::
 compared with ``tools/importtime.py``. Each of ``--pairs`` (default 10) pairs
 runs one fresh child per tree, the order alternating from pair to pair. A
 child imports ``polyderive`` from its tree alone and builds the workload's
-operations with ``bench/run.py``'s own builder at ``--seed`` (default 0), so
-both trees run the same operations; ``bench/`` is imported, never changed. It
+operations with ``bench/run.py``'s ``WORKLOADS`` function at ``--seed``
+(default 0), so both trees run the same operations; ``bench/`` is imported,
+never changed. It
 runs every operation once untimed, checking each output with
 ``bench/checks.py``, then repeats whole rounds until ``CHILD_CPU_S`` seconds
 of CPU are spent, timing each operation with ``time.process_time``, and
@@ -48,7 +49,7 @@ def child(src: Path, workload: str, seed: int) -> int:
         raise RuntimeError(f"imported polyderive from {polyderive.cli.__file__}, not {src}")
     import run  # bench/run.py
 
-    os.chdir(ROOT)  # the builders name their input files relative to the root
+    os.chdir(ROOT)  # the workloads name their input files relative to the root
     run.RESULTS.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="cpu-pairs-", dir=run.RESULTS))
     try:
@@ -101,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = [tree.resolve() for tree in args.trees]
+    if trees[0] == trees[1]:
+        parser.error("give two different src directories")
     for tree in trees:
         if not (tree / "polyderive" / "cli.py").is_file():
             parser.error(f"no polyderive package under {tree}")
