@@ -65,18 +65,22 @@ class DerivedPolygon(_Points):
     def __init__(self, unscaled: Sequence[Vec3], scale: Scalar = Fraction(1)) -> None:
         self._set("unscaled", tuple(unscaled))
         self._set("scale", scale)
-        if len(self.unscaled) < 3:
-            raise ValueError("a derived polygon needs at least three vertices")
-        if len(self.unscaled) % 2 == 0 and self.scale != 1:
-            raise ValueError("an even derived polygon has scale one")
+        self._check()
 
     @classmethod
     def _of(cls, form: _Form, scale: Scalar) -> DerivedPolygon:
-        """The polygon of unscaled points in the int form, already known to be valid."""
+        """The polygon of unscaled points in the int form."""
         polygon = cls.__new__(cls)
         polygon._set("_form", form)
         polygon._set("scale", scale)
+        polygon._check()
         return polygon
+
+    def _check(self) -> None:
+        if self.n < 3:
+            raise ValueError("a derived polygon needs at least three vertices")
+        if self.n % 2 == 0 and self.scale != 1:
+            raise ValueError("an even derived polygon has scale one")
 
     @cached_property
     def vertices(self) -> tuple[Vec3, ...]:

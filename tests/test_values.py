@@ -16,6 +16,7 @@ from polyderive.derived import (
     PlanarityReport,
     PlaneDecomposition,
     SecondDerivativeResult,
+    derive,
 )
 from polyderive.generators import GenConfig
 from polyderive.oracle import FloatMismatch, FloatValidation
@@ -202,9 +203,13 @@ def test_cached_property_still_caches():
         (lambda: Polygon([U, V]), "a polygon needs at least three vertices"),
         (lambda: DerivedPolygon([U, V]), "a derived polygon needs at least three vertices"),
         (lambda: DerivedPolygon([U, V, W, U], F(2)), "an even derived polygon has scale one"),
+        (
+            lambda: derive(SupportSystem((U, V), F(2))),
+            "a derived polygon needs at least three vertices",
+        ),
         (lambda: GenConfig(7, coordinate_bound=1), "coordinate_bound must be at least 2"),
     ],
-    ids=["polygon", "derived-size", "derived-even-scale", "gen-config"],
+    ids=["polygon", "derived-size", "derived-even-scale", "derive-hand-built-size", "gen-config"],
 )
 def test_constructor_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):

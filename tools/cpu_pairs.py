@@ -2,17 +2,16 @@
 
 Usage::
 
-    python3 tools/cpu_pairs.py PARENT/src CHANGE/src --workload W [--pairs N] [--seed S]
+    python3 tools/cpu_pairs.py PARENT/src CHANGE/src --workload W
 
 ``W`` is one of the in-process workloads of ``bench/run.py``
 (``report-corpus``, ``verify-rounds``, ``large-odd-n``); a cold start is
-compared with ``tools/importtime.py``. Each of ``--pairs`` (default 10) pairs
-runs one fresh child per tree, the order alternating from pair to pair. A
-child imports ``polyderive`` from its tree alone and builds the workload's
-operations with ``bench/run.py``'s ``WORKLOADS`` function at ``--seed``
-(default 0), so both trees run the same operations; ``bench/`` is imported,
-never changed. It
-runs every operation once untimed, checking each output with
+compared with ``tools/importtime.py``. Each of ``PAIRS`` pairs runs one
+fresh child per tree, the order alternating from pair to pair. A child
+imports ``polyderive`` from its tree alone and builds the workload's
+operations with ``bench/run.py``'s ``WORKLOADS`` function at ``SEED``, so
+both trees run the same operations; ``bench/`` is imported, never changed.
+It runs every operation once untimed, checking each output with
 ``bench/checks.py``, then repeats whole rounds until ``CHILD_CPU_S`` seconds
 of CPU are spent, timing each operation with ``time.process_time``, and
 reports the median milliseconds per operation. Printed per tree: the median
@@ -38,9 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 IN_PROCESS = ("report-corpus", "verify-rounds", "large-odd-n")
 CHILD_CPU_S = 1.0
+PAIRS = 10
+SEED = 0
 
 
-def child(src: Path, workload: str, seed: int) -> int:
+def child(src: Path, workload: str) -> int:
     """Time one workload on the tree ``src``; print the median CPU ms per operation."""
     sys.path[:0] = [str(src), str(BENCH)]
     import polyderive.cli
@@ -53,7 +54,7 @@ def child(src: Path, workload: str, seed: int) -> int:
     run.RESULTS.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix="cpu-pairs-", dir=run.RESULTS))
     try:
-        ops = run.WORKLOADS[workload](seed, workdir).ops
+        ops = run.WORKLOADS[workload](SEED, workdir).ops
         runner = run.InProcessRunner(polyderive.cli)
         for op in ops:
             for call in op.calls:
@@ -74,12 +75,12 @@ def child(src: Path, workload: str, seed: int) -> int:
     return 0
 
 
-def spawn(src: Path, workload: str, seed: int) -> float:
+def spawn(src: Path, workload: str) -> float:
     """One child's median CPU ms per operation."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     result = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), "--workload", workload, "--seed", str(seed)],
+        [sys.executable, __file__, "--child", str(src), "--workload", workload],
         capture_output=True, text=True, env=env,
     )
     if result.returncode != 0:
@@ -91,16 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="two src directories")
     parser.add_argument("--workload", required=True, choices=IN_PROCESS)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
-        return child(args.child.resolve(), args.workload, args.seed)
+        return child(args.child.resolve(), args.workload)
     if len(args.trees) != 2:
         parser.error("give two src directories")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     trees = [tree.resolve() for tree in args.trees]
     if trees[0] == trees[1]:
         parser.error("give two different src directories")
@@ -108,18 +105,18 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "polyderive" / "cli.py").is_file():
             parser.error(f"no polyderive package under {tree}")
     medians = {tree: [] for tree in trees}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         for tree in trees if pair % 2 == 0 else trees[::-1]:
-            medians[tree].append(spawn(tree, args.workload, args.seed))
+            medians[tree].append(spawn(tree, args.workload))
     first, second = (statistics.median(medians[tree]) for tree in trees)
     won = sum(b < a for a, b in zip(*medians.values()))
-    print(f"{args.pairs} alternating pairs, workload {args.workload}, seed {args.seed}, "
+    print(f"{PAIRS} alternating pairs, workload {args.workload}, seed {SEED}, "
           f"{sys.implementation.name} {sys.version.split()[0]}, {os.cpu_count()} cores")
     print(f"{'tree':<48} {'CPU ms/op':>10}")
     for tree, value in zip(trees, (first, second)):
         print(f"{str(tree):<48} {value:>10.3f}")
     print(f"{'second / first':<48} {second / first:>10.3f}")
-    print(f"{'pairs the second tree won':<48} {won:>7}/{args.pairs}")
+    print(f"{'pairs the second tree won':<48} {won:>7}/{PAIRS}")
     return 0
 
 
