@@ -9,32 +9,27 @@ across two parallel planes with half-turn-symmetric corner determinants.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
 from .polygon import Polygon, _deltas, _edges, _nonzero
-from .regularity import (
-    SupportSystem,
-    _support_basis,
-    build_support_system,
-    check_regularity,
-    support_system,
-)
+from .regularity import SupportSystem, _support_basis, check_regularity, support_system
 from .scalars import Scalar, _scaled_values
 from .vectors import (
     Vec3,
     _Form,
     _Points,
     _Value,
+    _area_vector,
+    _cleared,
     _int_cross,
+    _int_det,
     _int_difference,
     _integer_coordinates,
+    _over_lcm,
     _rational_vector,
-    area_vector,
-    cross,
-    dot,
-    mixed,
     scaled,
 )
 
@@ -67,14 +62,7 @@ class DerivedPolygon(_Points):
         self._set("scale", scale)
         self._check()
 
-    @classmethod
-    def _of(cls, form: _Form, scale: Scalar) -> DerivedPolygon:
-        """The polygon of unscaled points in the int form."""
-        polygon = cls.__new__(cls)
-        polygon._set("_form", form)
-        polygon._set("scale", scale)
-        polygon._check()
-        return polygon
+    unscaled = cached_property(_Points._vectors)
 
     def _check(self) -> None:
         if self.n < 3:
@@ -231,34 +219,35 @@ def two_plane_decomposition(polygon: PolygonLike) -> PlaneDecomposition:
     For the derivative of a regular hexagon the even vertices share one
     parallel plane and the projected hexagon has zero oriented area; both
     facts are returned as data rather than asserted. A derived hexagon has
-    scale one, so it is split on its unscaled points.
+    scale one, so it is split on its unscaled points. The split runs on the
+    int form of the points, and each returned component is reduced once.
     """
-    points = polygon.unscaled if isinstance(polygon, DerivedPolygon) else polygon.vertices
-    if len(points) != 6:
+    points, dens = polygon._form
+    if len(dens) != 6:
         raise ValueError("the two-plane decomposition applies to hexagons only")
-    anchor = points[0]
-    normal = cross(points[2] - anchor, points[4] - anchor)
-    if normal.is_zero():
+    # Offsets A_k / E_k from vertex 1, the normal N / L, and heights H_k = A_k . N,
+    # so that offset k is H_k / (E_k L) and |normal|^2 is |N|^2 / L^2.
+    spans = [_int_difference(points[0], dens[0], p, d) for p, d in zip(points, dens)]
+    (a, da), (b, db) = spans[2], spans[4]
+    normal, low = _cleared(_int_cross(a, b), da * db, 1)
+    if not any(normal):
         raise CollinearAnchorError("vertices 1, 3, 5 are collinear; no anchor plane exists")
-    norm_sq = dot(normal, normal)
-
-    def offset(point: Vec3) -> Scalar:
-        return dot(point - anchor, normal)
-
-    odd = (offset(points[0]), offset(points[2]), offset(points[4]))
-    even = (offset(points[1]), offset(points[3]), offset(points[5]))
-    projections = tuple(
-        points[k] - (height / norm_sq) * normal for k, height in zip((1, 3, 5), even)
-    )
-    flattened = [
-        points[0],
-        projections[0],
-        points[2],
-        projections[1],
-        points[4],
-        projections[2],
+    heights = [sum(map(operator.mul, span, normal)) for span, _ in spans]
+    offsets = [Fraction(h, e * low) for h, (_, e) in zip(heights, spans)]
+    norm = sum(map(operator.mul, normal, normal))
+    # An even vertex less offset / |normal|^2 times normal: P/D - H N / (E |N|^2).
+    flat = [
+        _cleared([c * e * norm - d * h * n for c, n in zip(p, normal)], d * e * norm, 1)
+        if k % 2 else (p, d)
+        for k, (p, d, h, (_, e)) in enumerate(zip(points, dens, heights, spans))
     ]
-    return PlaneDecomposition(normal, odd, even, projections, area_vector(flattened))
+    return PlaneDecomposition(
+        _rational_vector(normal, low),
+        tuple(offsets[0::2]),
+        tuple(offsets[1::2]),
+        tuple(_rational_vector(*flat[k]) for k in (1, 3, 5)),
+        _rational_vector(*_area_vector(tuple(zip(*flat)))),
+    )
 
 
 class SecondDerivativeResult(_Value):
@@ -293,7 +282,16 @@ def second_derivative_type(
     and raises. The intermediate's determinants, on its edges (scale one),
     serve its type and the next chain.
     """
-    first_edges = _edges(build_support_system(edges, alpha=alpha1)._form)
+    form = _integer_coordinates(tuple(edges))
+    return _second_derivative_type(form, _deltas(form), alpha1, alpha2)
+
+
+def _second_derivative_type(
+    edges: _Form, values: Sequence[Fraction], alpha1: Fraction | int, alpha2: Fraction | int
+) -> SecondDerivativeResult:
+    """:func:`second_derivative_type` of edges in the int form, with their determinants."""
+    first = support_system(_support_basis(edges, values), check_regularity(values), alpha1)
+    first_edges = _edges(first._form)
     first_values = _deltas(first_edges)
     first_type = hex_type(first_values)
     basis = _support_basis(first_edges, first_values)
@@ -309,31 +307,31 @@ def planar_self_intersection(polygon: PolygonLike) -> bool:
     Orientation signs are evaluated exactly inside the quadrangle's plane, so
     the answer is a combinatorial fact, not a tolerance call.
     """
-    points = polygon.vertices
-    if len(points) != 4:
+    if polygon.n != 4:
         raise ValueError("the self-intersection test applies to quadrangles only")
     if not is_planar(polygon).planar:
         raise ValueError("the self-intersection test needs a planar quadrangle")
-    return _self_intersecting(points)
+    return _self_intersecting(polygon._form)
 
 
-def _self_intersecting(points: Sequence[Vec3]) -> bool:
-    """:func:`planar_self_intersection` for a quadrangle the caller has checked to be planar."""
-    normal = cross(points[1] - points[0], points[2] - points[0])
-    if normal.is_zero():
-        normal = cross(points[1] - points[0], points[3] - points[0])
-    if normal.is_zero():
+def _self_intersecting(points: _Form) -> bool:
+    """:func:`planar_self_intersection` for a quadrangle in the int form the caller has
+    checked to be planar; over one positive denominator, int triples keep every sign."""
+    ints, _ = _over_lcm(points)
+    span = [[tuple(b - a for a, b in zip(p, q)) for q in ints] for p in ints]  # q - p
+    normal = _int_cross(span[0][1], span[0][2])
+    if not any(normal):
+        normal = _int_cross(span[0][1], span[0][3])
+    if not any(normal):
         raise DegenerateQuadrangleError("degenerate quadrangle: all vertices are collinear")
 
-    def orient(p: Vec3, q: Vec3, r: Vec3) -> int:
-        value = mixed(normal, q - p, r - p)
+    def orient(p: int, q: int, r: int) -> int:
+        value = _int_det(normal, span[p][q], span[p][r])
         return (value > 0) - (value < 0)
 
-    def proper_cross(p: Vec3, q: Vec3, r: Vec3, s: Vec3) -> bool:
+    def proper_cross(p: int, q: int, r: int, s: int) -> bool:
         o1, o2 = orient(p, q, r), orient(p, q, s)
         o3, o4 = orient(r, s, p), orient(r, s, q)
         return o1 * o2 < 0 and o3 * o4 < 0
 
-    return proper_cross(points[0], points[1], points[2], points[3]) or proper_cross(
-        points[1], points[2], points[3], points[0]
-    )
+    return proper_cross(0, 1, 2, 3) or proper_cross(1, 2, 3, 0)

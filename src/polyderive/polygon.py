@@ -9,20 +9,23 @@ assumes genericity, so violations are reported with the offending index.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .scalars import Scalar, format_scalar
 from .vectors import (
-    ZERO_VEC,
     Vec3,
     _Form,
+    _Points,
     _Value,
+    _area_vector,
+    _cleared_all,
     _int_cross,
     _int_det,
     _int_difference,
     _integer_coordinates,
+    _over_lcm,
     _rational_vector,
-    area_vector,
 )
 
 
@@ -30,8 +33,13 @@ class NonGenericPolygonError(ValueError):
     """An operation required nonzero corner determinants and did not get them."""
 
 
-class Polygon(_Value):
-    """Closed polygon given by its cyclic vertex list (n >= 3)."""
+class Polygon(_Points):
+    """Closed polygon given by its cyclic vertex list (n >= 3).
+
+    The int forms of the vertices and edges and the corner determinants are
+    computed once, on first read; a generator's draw holds all three, and
+    builds ``vertices`` on first read instead.
+    """
 
     vertices: tuple[Vec3, ...]
 
@@ -40,9 +48,15 @@ class Polygon(_Value):
         if len(self.vertices) < 3:
             raise ValueError("a polygon needs at least three vertices")
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
+    vertices = cached_property(_Points._vectors)
+
+    @cached_property
+    def _edge_form(self) -> _Form:
+        return _edges(self._form)
+
+    @cached_property
+    def _determinants(self) -> tuple[Fraction, ...]:
+        return _deltas(self._edge_form)
 
     @classmethod
     def from_edges(cls, edges: Sequence[Vec3]) -> Polygon:
@@ -50,19 +64,24 @@ class Polygon(_Value):
         chain = tuple(edges)
         if len(chain) < 3:
             raise ValueError("a polygon needs at least three edges")
-        points = [ZERO_VEC]
-        for edge in chain:
-            points.append(points[-1] + edge)
-        total = points.pop()
-        if not total.is_zero():
-            residue = ", ".join(str(format_scalar(part)) for part in total)
-            raise ValueError(f"edge vectors do not close up, residue ({residue})")
-        return cls(tuple(points))
+        return cls._of(_closed_path(*_over_lcm(_integer_coordinates(chain))))
+
+
+def _closed_path(edges: Sequence[tuple[int, int, int]], den: int) -> _Form:
+    """The int form of the vertices from the origin along edges ``E_k / den`` that sum to zero."""
+    points = [(0, 0, 0)]
+    for x, y, z in edges:
+        points.append((points[-1][0] + x, points[-1][1] + y, points[-1][2] + z))
+    total = points.pop()
+    if any(total):
+        residue = ", ".join(format_scalar(Fraction(part, den)) for part in total)
+        raise ValueError(f"edge vectors do not close up, residue ({residue})")
+    return _cleared_all(points, den)
 
 
 def edge_vectors(polygon: Polygon) -> tuple[Vec3, ...]:
     """Differences of consecutive vertices, cyclically; they sum to zero."""
-    return tuple(map(_rational_vector, *_edges(_integer_coordinates(polygon.vertices))))
+    return tuple(map(_rational_vector, *polygon._edge_form))
 
 
 def _edges(points: _Form) -> _Form:
@@ -155,9 +174,18 @@ def mirror(polygon: Polygon) -> Polygon:
     """Reflection across the xy-plane, (x, y, z) -> (x, y, -z).
 
     Every reflection flips the sign of each corner determinant; this one is
-    fixed so outputs stay reproducible.
+    fixed so outputs stay reproducible. A draw's edges and determinants are
+    reflected with it.
     """
-    return Polygon(tuple(Vec3(v.x, v.y, -v.z) for v in polygon.vertices))
+    flipped = Polygon._of(_reflected(polygon._form))
+    if "_determinants" in polygon.__dict__:
+        flipped._set("_edge_form", _reflected(polygon._edge_form))
+        flipped._set("_determinants", tuple(-value for value in polygon._determinants))
+    return flipped
+
+
+def _reflected(form: _Form) -> _Form:
+    return tuple((x, y, -z) for x, y, z in form[0]), form[1]
 
 
 def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
@@ -176,4 +204,4 @@ def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
         raise ValueError(
             f"derivability defect is defined for closed edge lists only: {exc}"
         ) from exc
-    return area_vector(polygon.vertices)
+    return _rational_vector(*_area_vector(polygon._form))

@@ -202,13 +202,7 @@ class SupportSystem(_Points):
         self._set("unscaled", unscaled)
         self._set("alpha", alpha)
 
-    @classmethod
-    def _of(cls, form: _Form, alpha: Scalar) -> SupportSystem:
-        """The system of unscaled vectors in the int form."""
-        system = cls.__new__(cls)
-        system._set("_form", form)
-        system._set("alpha", alpha)
-        return system
+    unscaled = cached_property(_Points._vectors)
 
     @property
     def parity(self) -> str:

@@ -37,7 +37,7 @@ from .scalars import (
     parse_rational,
     parse_scalar,
 )
-from .vectors import ZERO_VEC, Vec3, _area_vector, _Form, _integer_coordinates
+from .vectors import ZERO_VEC, Vec3, _area_vector, _Form, _rational_vector
 
 
 class PolygonFormatError(ValueError):
@@ -96,12 +96,8 @@ def polygon_from_json(payload: object) -> Polygon:
     raise PolygonFormatError("polygon payload needs a 'vertices' or 'edges' key")
 
 
-def _head(
-    command: str, polygon: Polygon, source: str | None
-) -> tuple[dict, _Form, tuple[Scalar, ...]]:
-    """A report's command, input summary and genericity, plus the int edges and determinants."""
-    edges = _edges(_integer_coordinates(polygon.vertices))
-    values = _deltas(edges)
+def _head(command: str, polygon: Polygon, source: str | None) -> dict:
+    """A report's command, input summary and genericity, read off the polygon's int form."""
     summary = {
         "n": polygon.n,
         "vertices": [vec3_to_json(vertex) for vertex in polygon.vertices],
@@ -111,9 +107,9 @@ def _head(
     report = {
         "command": command,
         "input_summary": summary,
-        "genericity": _genericity_json(edges, values),
+        "genericity": _genericity_json(polygon._edge_form, polygon._determinants),
     }
-    return report, edges, values
+    return report
 
 
 def _genericity_json(edges: _Form, values: Sequence[Scalar]) -> dict:
@@ -139,18 +135,19 @@ def _verdict_json(verdict: RegularityVerdict) -> dict:
 
 def _checked(
     command: str, polygon: Polygon, source: str | None
-) -> tuple[dict, _Form, tuple[Scalar, ...], RegularityVerdict | None]:
-    """A check report under ``command``, plus the int edges, determinants and verdict behind it.
+) -> tuple[dict, RegularityVerdict | None]:
+    """A check report under ``command``, plus the verdict behind it.
 
     The verdict is None when the polygon is not generic.
     """
-    report, edges, values = _head(command, polygon, source)
+    report = _head(command, polygon, source)
     verdict = None
     if report["genericity"]["ok"]:
+        values = polygon._determinants
         verdict = check_regularity(values)
         report["deltas"] = [format_scalar(value) for value in values]
         report["verdict"] = _verdict_json(verdict)
-    return report, edges, values, verdict
+    return report, verdict
 
 
 def check_report(polygon: Polygon, source: str | None = None) -> dict:
@@ -209,7 +206,7 @@ def _analysis(
     """
     planarity = is_planar(polygon)
     if area is None:
-        area = _area_vector(polygon._form)
+        area = _rational_vector(*_area_vector(polygon._form))
     # The derivability defect of a closed edge list equals the area vector of
     # its vertices; both fields stay in the report.
     written = _format_scaled(area, polygon.scale, 2)
@@ -223,7 +220,7 @@ def _analysis(
     if polygon.n == 3:
         block["note"] = "triangles are trivially planar and never generic"
     if polygon.n == 4 and planarity.planar:
-        block["self_intersecting"] = _self_intersecting(polygon.unscaled)
+        block["self_intersecting"] = _self_intersecting(polygon._form)
     if polygon.n == 6 and generic:
         _type_fields(block, values)
         block["two_plane"] = _two_plane_json(polygon)
@@ -241,7 +238,7 @@ def derive_report(
     Raises NonGenericPolygonError or IrregularPolygonError when the polygon
     has no support system; the CLI turns those into failure reports.
     """
-    report, edges, values, verdict = _checked("derive", polygon, source)
+    report, verdict = _checked("derive", polygon, source)
     if verdict is None:
         info = report["genericity"]
         raise NonGenericPolygonError(
@@ -251,7 +248,7 @@ def derive_report(
         # support_system reports irregularity, which comes first. It takes any
         # root of alpha_squared; the CLI picks one by sign.
         raise ValueError("odd polygons take --negative-root, not an explicit scale")
-    basis = _support_basis(edges, values)
+    basis = _support_basis(polygon._edge_form, polygon._determinants)
     system = support_system(basis, verdict, alpha, negative_root)
     support = _support_json(system)
     report["support_system"] = {
@@ -280,7 +277,7 @@ def derive_report(
         block, derived, _deltas(derived_edges), "derived_deltas", "derived_generic", ZERO_VEC
     )
     if polygon.n == 6 and block.get("strongly_regular"):
-        _type_fields(block, values, "input_")
+        _type_fields(block, polygon._determinants, "input_")
         if block["input_strongly_regular"]:
             block["type_matches_input"] = block["input_hex_type"] == block["hex_type"]
     report["derived_analysis"] = block
@@ -289,8 +286,9 @@ def derive_report(
 
 def analyze_report(polygon: Polygon, source: str | None = None) -> dict:
     """Structural analysis of a polygon read as a candidate derived polygon."""
-    report, _edges, values = _head("analyze", polygon, source)
-    return _analysis(report, DerivedPolygon(polygon.vertices), values, "deltas")
+    report = _head("analyze", polygon, source)
+    derived = DerivedPolygon._of(polygon._form, Fraction(1))
+    return _analysis(report, derived, polygon._determinants, "deltas")
 
 
 def plot_lines(payload: dict) -> str:

@@ -22,32 +22,31 @@ from .derived import (
     CollinearAnchorError,
     DegenerateQuadrangleError,
     _hex_type,
+    _second_derivative_type,
     _self_intersecting,
     derive,
     is_planar,
-    second_derivative_type,
     strongly_regular_check,
     two_plane_decomposition,
 )
 from .generators import (
     GenConfig,
-    _random_vertex,
+    _random_point,
     random_generic_polygon,
     random_regular_pentagon,
     regular_hexagon_via_lift,
 )
 from .oracle import OpenSupportError, alternating_product_identity, derived_relation_defects
-from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges, deltas, edge_vectors
+from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges
 from .regularity import (
     _scale,
-    build_support_system,
+    _support_basis,
     check_regularity,
     nested_cross_identity,
-    support_basis,
     support_system,
 )
 from .reports import polygon_to_json, vec3_to_json
-from .vectors import _Value, area_vector
+from .vectors import _Value, _area_vector, _rational_vector
 
 SCALE_FACTORS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2))
 SCALE_PAIRS = (
@@ -146,8 +145,7 @@ def _quadrangle_derivatives(child: int) -> dict | None:
     its derivative is planar, has zero area vector, and self-intersects."""
     cfg = GenConfig(seed=child)
     polygon = random_generic_polygon(4, cfg)
-    edges = edge_vectors(polygon)
-    values = deltas(edges)
+    values = polygon._determinants
     if not (
         values[1] == -values[0]
         and values[2] == values[0]
@@ -157,13 +155,14 @@ def _quadrangle_derivatives(child: int) -> dict | None:
     verdict = check_regularity(values)
     if not verdict.regular:
         return _failure(polygon, cfg.seed, "regularity")
-    derived = derive(support_system(support_basis(edges, values), verdict, Fraction(1)))
+    basis = _support_basis(polygon._edge_form, values)
+    derived = derive(support_system(basis, verdict, Fraction(1)))
     if not is_planar(derived).planar:
         return _failure(polygon, cfg.seed, "planarity")
-    if not area_vector(derived.vertices).is_zero():
+    if any(_area_vector(derived._form)[0]):
         return _failure(polygon, cfg.seed, "zero area vector")
     try:
-        crossing = _self_intersecting(derived.vertices)
+        crossing = _self_intersecting(derived._form)
     except DegenerateQuadrangleError as exc:
         raise _DegenerateDraw from exc  # collinear derived vertices
     if not crossing:
@@ -177,12 +176,13 @@ def _pentagon_derivatives(child: int) -> dict | None:
     both claims are decided over the rationals."""
     cfg = GenConfig(seed=child)
     polygon = random_regular_pentagon(cfg)
-    edges = edge_vectors(polygon)
-    derived = derive(build_support_system(edges))
+    values = polygon._determinants
+    basis = _support_basis(polygon._edge_form, values)
+    derived = derive(support_system(basis, check_regularity(values)))
     if not is_planar(derived).planar:
         return _failure(polygon, cfg.seed, "planarity")
     # The area vector is scale**2 times that of the unscaled points.
-    if not area_vector(derived.unscaled).is_zero():
+    if any(_area_vector(derived._form)[0]):
         return _failure(polygon, cfg.seed, "zero area vector")
     return None
 
@@ -192,12 +192,9 @@ def _hexagon_types(child: int) -> dict | None:
     type across the scaling family, built by rescaling one support chain."""
     cfg = GenConfig(seed=child)
     polygon, _system = regular_hexagon_via_lift(cfg)
-    edges = edge_vectors(polygon)
-    input_values = deltas(edges)
-    verdict = check_regularity(input_values)
-    basis = support_basis(edges, input_values)
+    basis = _support_basis(polygon._edge_form, polygon._determinants)
     # Alpha and 1/alpha cancel in every even-n condition: one check covers the family.
-    support_system(basis, verdict, SCALE_FACTORS[0])
+    support_system(basis, check_regularity(polygon._determinants), SCALE_FACTORS[0])
     types = []
     for alpha in SCALE_FACTORS:
         values = _deltas(_edges(_scale(basis._chain, alpha, 1 / alpha)))
@@ -218,10 +215,11 @@ def _second_derivatives(child: int) -> dict | None:
     cyclically: d''_1/d''_2 = d'_2/d'_3 and its two rotations."""
     cfg = GenConfig(seed=child)
     polygon, _system = regular_hexagon_via_lift(cfg)
-    edges = edge_vectors(polygon)
     alpha1, alpha2 = SCALE_PAIRS[child % len(SCALE_PAIRS)]
     try:
-        result = second_derivative_type(edges, alpha1, alpha2)
+        result = _second_derivative_type(
+            polygon._edge_form, polygon._determinants, alpha1, alpha2
+        )
     except NonGenericPolygonError as exc:
         raise _DegenerateDraw from exc  # degenerate first or second derivative
     if result.first_type != result.second_type:
@@ -242,9 +240,10 @@ def _two_planes(child: int) -> dict | None:
     zero-area hexagon in the anchor plane."""
     cfg = GenConfig(seed=child)
     polygon, _system = regular_hexagon_via_lift(cfg)
-    edges = edge_vectors(polygon)
     alpha = SCALE_FACTORS[child % len(SCALE_FACTORS)]
-    derived = derive(build_support_system(edges, alpha=alpha))
+    values = polygon._determinants
+    basis = _support_basis(polygon._edge_form, values)
+    derived = derive(support_system(basis, check_regularity(values), alpha))
     try:
         split = two_plane_decomposition(derived)
     except CollinearAnchorError as exc:
@@ -261,7 +260,7 @@ def _two_planes(child: int) -> dict | None:
 def _nested_cross(child: int) -> dict | None:
     """cross(cross(a,b), cross(b,c)) equals mixed(a,b,c) * b on random triples."""
     rng = random.Random(child)
-    a, b, c = (_random_vertex(rng, bound=9) for _ in range(3))
+    a, b, c = (_rational_vector(*_random_point(rng, 9)) for _ in range(3))
     left, right = nested_cross_identity(a, b, c)
     if left != right:
         return {
@@ -275,7 +274,7 @@ def _alternating_products(child: int) -> dict | None:
     """The alternating determinant products of the cross-product rows agree
     for arbitrary six-vector samples, no closure imposed."""
     rng = random.Random(child)
-    vectors = tuple(_random_vertex(rng, bound=9) for _ in range(6))
+    vectors = tuple(_rational_vector(*_random_point(rng, 9)) for _ in range(6))
     try:
         odd, even = alternating_product_identity(vectors)
     except NonGenericPolygonError as exc:

@@ -158,6 +158,11 @@ def _cleared(v: Sequence[int], den: int, top: int) -> tuple[tuple[int, int, int]
     return (t * (v[0] // c), t * (v[1] // c), t * (v[2] // c)), den // c // h
 
 
+def _cleared_all(points: Sequence[Sequence[int]], den: int) -> _Form:
+    """The int form of the vectors ``points[k] / den``, for ``den > 0``."""
+    return tuple(zip(*(_cleared(point, den, 1) for point in points)))
+
+
 def _int_difference(
     a: tuple[int, int, int], da: int, b: tuple[int, int, int], db: int
 ) -> tuple[tuple[int, int, int], int]:
@@ -192,25 +197,36 @@ def _rational_vector(v: tuple[int, int, int], den: int) -> Vec3:
 
 
 class _Points(_Value):
-    """A value over rational vectors ``unscaled`` that may hold them in the int form.
+    """A value over rational vectors, its first field, that may hold them in the int form.
 
-    The public constructor stores ``unscaled``; a pipeline stage stores the
-    int form ``_form`` it computed on instead. Each is built from the other on
-    first read, so a stage that only writes or re-checks the vectors builds no
-    ``Fraction``.
+    The public constructor stores the vectors; a pipeline stage stores the int
+    form ``_form`` it computed on instead (:meth:`_of`). Each is built from the
+    other on first read, so a stage that only writes or re-checks the vectors
+    builds no ``Fraction``. A subclass binds its vector field to
+    ``cached_property(_Points._vectors)``.
     """
 
-    @cached_property
-    def unscaled(self) -> tuple[Vec3, ...]:
+    @classmethod
+    def _of(cls, form: _Form, *values: object) -> _Points:
+        """The value of vectors in the int form, with its other fields ``values``."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(zip(cls._fields[1:], values), _form=form)
+        obj._check()
+        return obj
+
+    def _check(self) -> None:
+        """Raise ``ValueError`` if the fields make no valid value of the class."""
+
+    def _vectors(self) -> tuple[Vec3, ...]:
         return tuple(map(_rational_vector, *self._form))
 
     @cached_property
     def _form(self) -> _Form:
-        return _integer_coordinates(self.unscaled)
+        return _integer_coordinates(getattr(self, self._fields[0]))
 
     @property
     def n(self) -> int:
-        return len(self._form[1] if "_form" in self.__dict__ else self.unscaled)
+        return len(self._form[1] if "_form" in self.__dict__ else getattr(self, self._fields[0]))
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
@@ -239,19 +255,24 @@ def area_vector(points: Sequence[Vec3]) -> Vec3:
     count = len(points)
     if count < 3:
         raise ValueError(f"area vector needs at least 3 points, got {count}")
-    return _area_vector(_integer_coordinates(points))
+    return _rational_vector(*_area_vector(_integer_coordinates(points)))
 
 
-def _area_vector(points: _Form) -> Vec3:
-    """:func:`area_vector` of at least three points in the int form."""
-    # The sum needs one denominator for every term: the LCM m of the
-    # points' own denominators.
+def _over_lcm(points: _Form) -> tuple[list[tuple[int, int, int]], int]:
+    """The int triples of ``points`` over one denominator: the LCM m of their own."""
     ints, dens = points
-    count = len(ints)
     m = math.lcm(*dens)
     ints = [
         p if d == m else (p[0] * (m // d), p[1] * (m // d), p[2] * (m // d))
         for p, d in zip(ints, dens)
     ]
+    return ints, m
+
+
+def _area_vector(points: _Form) -> tuple[tuple[int, int, int], int]:
+    """:func:`area_vector` of at least three points in the int form, as an int triple
+    over a positive denominator, not reduced."""
+    ints, m = _over_lcm(points)
+    count = len(ints)
     crosses = [_int_cross(ints[i], ints[(i + 1) % count]) for i in range(count)]
-    return _rational_vector(tuple(map(sum, zip(*crosses))), m * m)
+    return tuple(map(sum, zip(*crosses))), m * m

@@ -48,6 +48,7 @@ from polyderive import (
     mixed,
     support_basis,
     support_system,
+    two_plane_decomposition,
     verify_support,
 )
 from polyderive import derived as derived_module
@@ -397,8 +398,8 @@ class TestDeriveReportWritesSupportOnce:
         # vector, and the derived determinants if the derivative is generic
         # (a derived pentagon is planar, so it is not). The derived vertices
         # are the support vectors and are not written again. No Fraction
-        # vector is built but by the derived hexagon's two-plane split: its
-        # points, read once, then its normal and projected area vector.
+        # vector is built but the derived hexagon's two-plane split returns:
+        # its normal, its three projections and its projected area vector.
         writes = count_writes(monkeypatch)
         built = count_rational_vectors(monkeypatch)
         polygon = golden.fixture_polygon(name)
@@ -413,7 +414,9 @@ class TestDeriveReportWritesSupportOnce:
         assert chain == as_form(basis._chain)
         assert derived_edges == as_form(polygon_module._edges(system._form))
         if polygon.n == 6:
-            assert built[:6] == list(zip(*system._form)) and len(built) == 8
+            split = two_plane_decomposition(derive(system))
+            returned = [split.normal, *split.projections, split.projected_area_vector]
+            assert [Vec3(*(Fraction(c, den) for c in v)) for v, den in built] == returned
         else:
             assert built == []
 
@@ -657,7 +660,8 @@ class TestIntegerPath:
         # handed: the support system keeps the form it was checked in, and
         # the derived polygon, is_planar and the writer read it. No Fraction
         # vector is built.
-        polygon = regular_odd_polygon(random.Random(611), 21)
+        # A polygon as read from a file: its int form is not cached yet.
+        polygon = Polygon(regular_odd_polygon(random.Random(611), 21).vertices)
         real = vectors._integer_coordinates
         cleared = []
 
@@ -671,6 +675,24 @@ class TestIntegerPath:
         derive_report(polygon)
         assert cleared == [polygon.vertices]
         assert built == []
+
+    def test_an_analyze_report_clears_the_input_vertices_once(self, monkeypatch):
+        # The polygon under analysis is read in the int form the report's
+        # head cleared: its planarity check, area vector and two-plane split
+        # clear nothing again.
+        polygon = golden.fixture_polygon("hexagon_regular.json")
+        real = vectors._integer_coordinates
+        cleared = []
+
+        def counted(rows):
+            cleared.append(rows)
+            return real(rows)
+
+        for module in (vectors, polygon_module, regularity, derived_module, reports):
+            monkeypatch.setattr(module, "_integer_coordinates", counted, raising=False)
+        report = reports.analyze_report(polygon)
+        assert "error" not in report["two_plane"]
+        assert cleared == [polygon.vertices]
 
     def test_genericity_is_decided_on_the_int_form(self, monkeypatch):
         # A zero determinant leads to the pair scan, on the int edges and

@@ -219,19 +219,23 @@ class TestDerivabilityDefect:
             derivability_defect(vecs((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_sums_the_edges_once(self, monkeypatch):
-        # One vertex chain over all six edges, whose last point is the
-        # closure residue; the area vector sums int cross products, not
+        # One vertex chain over all six edges, on ints, whose last point is
+        # the closure residue; the area vector sums int cross products, not
         # vectors.
-        calls = []
-        add = Vec3.__add__
+        from polyderive import polygon as polygon_module
 
-        def counted(a, b):
-            calls.append(None)
-            return add(a, b)
+        calls, added = [], []
+        chain, add = polygon_module._closed_path, Vec3.__add__
 
-        monkeypatch.setattr(Vec3, "__add__", counted)
+        def counted(edges, den):
+            calls.append(len(edges))
+            return chain(edges, den)
+
+        monkeypatch.setattr(polygon_module, "_closed_path", counted)
+        monkeypatch.setattr(Vec3, "__add__", lambda a, b: added.append(None) or add(a, b))
         derivability_defect(golden.STRONGLY_REGULAR_HEXAGON_EDGES)
-        assert len(calls) == 6
+        assert calls == [6]
+        assert added == []
 
     def test_matches_anchored_area_vector(self):
         # Independent oracle: the defining sum of cross(v_i, v_j) over pairs

@@ -202,7 +202,7 @@ class TestEachStageRunsOncePerDraw:
     @pytest.mark.parametrize("count", [1, len(SCALE_FACTORS), len(SCALE_FACTORS) + 2])
     def test_thm51_builds_one_chain_per_drawn_hexagon(self, monkeypatch, count):
         monkeypatch.setattr(suites, "SCALE_FACTORS", (SCALE_FACTORS + EXTRA_FACTORS)[:count])
-        chains = count_calls(monkeypatch, "support_basis", regularity, suites)
+        chains = count_calls(monkeypatch, "_support_basis", regularity, suites)
         draws = count_calls(monkeypatch, "regular_hexagon_via_lift", generators, suites)
         result = run_suite("thm51", 4, seed=24)
         assert result.passed
@@ -218,7 +218,7 @@ class TestEachStageRunsOncePerDraw:
         assert len(checks) == len(draws)
 
     def test_lift_builds_no_chain(self, monkeypatch):
-        chains = count_calls(monkeypatch, "support_basis", regularity, generators)
+        chains = count_calls(monkeypatch, "_support_basis", regularity, generators)
         for seed in range(10):
             regular_hexagon_via_lift(GenConfig(seed=seed))
         assert chains == []

@@ -8,6 +8,7 @@ from golden import vecs
 from polyderive import GenConfig, PlanarityReport, random_regular_pentagon, suites
 from polyderive.derived import DerivedPolygon, _self_intersecting, two_plane_decomposition
 from polyderive.reports import polygon_to_json
+from polyderive.vectors import _integer_coordinates
 from polyderive.suites import (
     SUITES,
     SuiteResult,
@@ -16,7 +17,7 @@ from polyderive.suites import (
     run_suite,
 )
 
-COLLINEAR_QUADRANGLE = vecs((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3))
+COLLINEAR_QUADRANGLE = _integer_coordinates(vecs((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
 COLLINEAR_ANCHOR_HEXAGON = DerivedPolygon(
     vecs((0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0), (2, 2, 2), (0, 0, 1))
 )
@@ -183,23 +184,84 @@ class TestCounterexamples:
         assert example["failed"] == "planarity"
 
 
+def count_calls(monkeypatch, name: str, owner) -> list:
+    """Record the arguments of every call of ``owner.name``, through every module binding it."""
+    from polyderive import derived, generators, oracle, polygon, regularity, reports, vectors
+
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (vectors, polygon, regularity, derived, generators, oracle, reports, suites):
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def form_key(form) -> tuple:
+    """A hashable copy of an int form."""
+    return tuple(map(tuple, form[0])), tuple(form[1])
+
+
+# Per suite: the polygons whose corner determinants one sample reads, counted
+# per random vertex list drawn (with its size), per lifted hexagon, or per
+# sample attempt. A draw's own determinants come with it: a lifted hexagon's
+# are the products m_i m_(i+1) of its support determinants, so only the
+# derivatives of thm51 (one per scale factor), thm52 (first and second) and
+# eq4 are computed. sec6 splits its derivative without its determinants; eq2
+# reads none; auto-id reads those of its six cross-product rows.
+DETERMINANT_READS = {
+    "thm31": ("draw", 4, 1),
+    "thm41": ("draw", 5, 1),
+    "thm51": ("lift", None, len(suites.SCALE_FACTORS)),
+    "thm52": ("lift", None, 2),
+    "sec6": ("lift", None, 0),
+    "eq2": ("attempt", None, 0),
+    "auto-id": ("attempt", None, 1),
+    "eq4": ("lift", None, 1),
+}
+
+
 class TestSuiteWork:
     def test_thm51_builds_no_support_vectors_it_does_not_read(self, monkeypatch):
-        # thm51 checks one support system per hexagon and reads none of its
-        # vectors, so the system keeps the int form it was checked in. What
-        # is left is the lift's own work (its support points and their
-        # crosses) and its edges rebuilt by edge_vectors: 12 Fraction vectors
-        # per sample, against 18 when the system built its own.
-        from polyderive import derived, generators, polygon, regularity, vectors
+        # thm51 reads the drawn hexagon's int edges and determinants and
+        # checks one support system, which keeps the int form it was checked
+        # in. The lift builds no Fraction vector either, so none is built.
+        from polyderive import vectors
 
-        calls = []
-        real = vectors._rational_vector
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        for module in (vectors, polygon, regularity, derived, generators, suites):
-            monkeypatch.setattr(module, "_rational_vector", counted, raising=False)
+        calls = count_calls(monkeypatch, "_rational_vector", vectors)
         assert run_suite("thm51", 100, seed=0).passed
-        assert len(calls) <= 1200
+        assert calls == []
+
+    @pytest.mark.parametrize("suite", ["thm31", "thm41", "thm52", "sec6"])
+    def test_polygon_suites_build_only_the_vectors_they_return(self, monkeypatch, suite):
+        # sec6 reads the two-plane split, whose normal, three projections and
+        # projected area vector are Fraction vectors; nothing else is built.
+        from polyderive import generators, vectors
+
+        calls = count_calls(monkeypatch, "_rational_vector", vectors)
+        lifts = count_calls(monkeypatch, "regular_hexagon_via_lift", generators)
+        assert run_suite(suite, 20, seed=0).passed
+        assert len(calls) == (5 * len(lifts) if suite == "sec6" else 0)
+
+    @pytest.mark.parametrize("suite", list(DETERMINANT_READS))
+    def test_each_polygons_determinants_are_computed_once(self, monkeypatch, suite):
+        from polyderive import generators, polygon
+
+        unit, size, per_unit = DETERMINANT_READS[suite]
+        calls = count_calls(monkeypatch, "_deltas", polygon)
+        points = count_calls(monkeypatch, "_random_point", generators)
+        lifts = count_calls(monkeypatch, "regular_hexagon_via_lift", generators)
+        result = run_suite(suite, 20, seed=0)
+        assert result.passed
+        units = {
+            "draw": len(points) // (size or 1),
+            "lift": len(lifts),
+            "attempt": result.samples + result.redraws,
+        }[unit]
+        assert units >= 20
+        assert len(calls) == per_unit * units
+        forms = [form_key(args[0]) for args in calls]
+        assert len(set(forms)) == len(forms)

@@ -15,9 +15,12 @@ It runs every operation once untimed, checking each output with
 ``bench/checks.py``, then repeats whole rounds until ``CHILD_CPU_S`` seconds
 of CPU are spent, timing each operation with ``time.process_time``, and
 reports the median milliseconds per operation. Printed per tree: the median
-of its children's medians; then the second tree's as a fraction of the
-first's, and the number of pairs in which the second tree's child was
-faster. Standard library only.
+of its children's medians, with their first and third quartiles
+(``statistics.quantiles(n=4)``); then the second tree's median as a
+fraction of the first's, and the number of pairs in which the second tree's
+child was faster. A gain is claimed when the second tree wins at least nine
+pairs and its median is below the first's by more than the first's q3 - q1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -112,9 +115,10 @@ def main(argv: list[str] | None = None) -> int:
     won = sum(b < a for a, b in zip(*medians.values()))
     print(f"{PAIRS} alternating pairs, workload {args.workload}, seed {SEED}, "
           f"{sys.implementation.name} {sys.version.split()[0]}, {os.cpu_count()} cores")
-    print(f"{'tree':<48} {'CPU ms/op':>10}")
+    print(f"{'tree':<48} {'CPU ms/op':>10} {'q1':>10} {'q3':>10}")
     for tree, value in zip(trees, (first, second)):
-        print(f"{str(tree):<48} {value:>10.3f}")
+        q1, _, q3 = statistics.quantiles(medians[tree], n=4)
+        print(f"{str(tree):<48} {value:>10.3f} {q1:>10.3f} {q3:>10.3f}")
     print(f"{'second / first':<48} {second / first:>10.3f}")
     print(f"{'pairs the second tree won':<48} {won:>7}/{PAIRS}")
     return 0
