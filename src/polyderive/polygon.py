@@ -174,18 +174,14 @@ def mirror(polygon: Polygon) -> Polygon:
     """Reflection across the xy-plane, (x, y, z) -> (x, y, -z).
 
     Every reflection flips the sign of each corner determinant; this one is
-    fixed so outputs stay reproducible. A draw's edges and determinants are
-    reflected with it.
+    fixed so outputs stay reproducible. It negates z in the int form, and a
+    draw's determinants in sign.
     """
-    flipped = Polygon._of(_reflected(polygon._form))
+    points, dens = polygon._form
+    flipped = Polygon._of((tuple((x, y, -z) for x, y, z in points), dens))
     if "_determinants" in polygon.__dict__:
-        flipped._set("_edge_form", _reflected(polygon._edge_form))
         flipped._set("_determinants", tuple(-value for value in polygon._determinants))
     return flipped
-
-
-def _reflected(form: _Form) -> _Form:
-    return tuple((x, y, -z) for x, y, z in form[0]), form[1]
 
 
 def derivability_defect(edges: Sequence[Vec3]) -> Vec3:
