@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from golden import vecs
@@ -20,13 +22,16 @@ from polyderive import (
     Vec3,
     area_vector,
     build_support_system,
+    cross,
     deltas,
     derive,
     derived_deltas,
+    dot,
     edge_vectors,
     hex_type,
     is_generic,
     is_planar,
+    mixed,
     planar_self_intersection,
     random_generic_polygon,
     regular_hexagon_via_lift,
@@ -38,6 +43,55 @@ from polyderive import (
 
 def hexagon_derivative(edges, alpha=Fraction(1)) -> DerivedPolygon:
     return derive(build_support_system(edges, alpha=alpha))
+
+
+# The two-plane split and the crossing test as they were written on Fraction
+# vectors, before they ran on the int form: the references the int versions
+# must equal.
+
+
+def reference_split(points):
+    anchor = points[0]
+    normal = cross(points[2] - anchor, points[4] - anchor)
+    if normal.is_zero():
+        raise ValueError("collinear")
+    norm_sq = dot(normal, normal)
+    odd = tuple(dot(points[k] - anchor, normal) for k in (0, 2, 4))
+    even = tuple(dot(points[k] - anchor, normal) for k in (1, 3, 5))
+    projections = tuple(
+        points[k] - (height / norm_sq) * normal for k, height in zip((1, 3, 5), even)
+    )
+    flat = [points[0], projections[0], points[2], projections[1], points[4], projections[2]]
+    return normal, odd, even, projections, area_vector(flat)
+
+
+def reference_crossing(points):
+    normal = cross(points[1] - points[0], points[2] - points[0])
+    if normal.is_zero():
+        normal = cross(points[1] - points[0], points[3] - points[0])
+    if normal.is_zero():
+        raise ValueError("collinear")
+
+    def orient(p, q, r):
+        value = mixed(normal, q - p, r - p)
+        return (value > 0) - (value < 0)
+
+    def proper_cross(p, q, r, s):
+        return orient(p, q, r) * orient(p, q, s) < 0 and orient(r, s, p) * orient(r, s, q) < 0
+
+    return proper_cross(*points) or proper_cross(*points[1:], points[0])
+
+
+def outcome(function, *args):
+    """The value of the call, or that it raised for collinear points."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return ("raised", "collinear" in str(exc))
+
+
+ratios = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+points = st.builds(Vec3, ratios, ratios, ratios)
 
 
 class TestDerive:
@@ -207,6 +261,20 @@ class TestTwoPlaneDecomposition:
         split = two_plane_decomposition(DerivedPolygon(tuple(vertices)))
         assert not split.parallel
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(points, min_size=6, max_size=6), st.sampled_from([None, 2, 4]))
+    def test_int_split_equals_the_fraction_reference(self, vertices, collinear):
+        if collinear is not None:  # vertex 5 (or 3) on the line through the other two of 1, 3, 5
+            vertices[collinear] = vertices[0] + 2 * (vertices[6 - collinear] - vertices[0])
+        expected = outcome(reference_split, vertices)
+        for polygon in (Polygon(vertices), DerivedPolygon(vertices)):
+            split = outcome(two_plane_decomposition, polygon)
+            if isinstance(split, tuple):
+                assert split == expected == ("raised", True)
+            else:
+                fields = (split.normal, split.odd_offsets, split.even_offsets)
+                assert (*fields, split.projections, split.projected_area_vector) == expected
+
     def test_collinear_anchor_vertices_rejected(self):
         points = vecs((0, 0, 0), (1, 5, 2), (1, 1, 1), (4, -1, 3), (2, 2, 2), (0, 3, 1))
         with pytest.raises(ValueError, match="collinear"):
@@ -260,6 +328,18 @@ class TestSelfIntersection:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="quadrangles"):
             planar_self_intersection(DerivedPolygon(golden.REGULAR_HEXAGON_SUPPORT))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(points, min_size=4, max_size=4), st.integers(2, 4))
+    def test_int_test_equals_the_fraction_reference(self, vertices, free):
+        # Planar quadrangles, dropped into z = 0, with vertices free + 1 to 4
+        # put on the line through vertices 1 and 2 (all four for free = 2).
+        vertices = [Vec3(v.x, v.y, Fraction(0)) for v in vertices]
+        for k in range(free, 4):
+            vertices[k] = vertices[0] + (k + 1) * (vertices[1] - vertices[0])
+        expected = outcome(reference_crossing, vertices)
+        assert outcome(planar_self_intersection, Polygon(vertices)) == expected
+        assert outcome(planar_self_intersection, DerivedPolygon(vertices)) == expected
 
     def test_random_derived_quadrangles_self_intersect(self):
         for seed in range(200):

@@ -8,7 +8,6 @@ from golden import vecs
 from polyderive import GenConfig, PlanarityReport, random_regular_pentagon, suites
 from polyderive.derived import DerivedPolygon, _self_intersecting, two_plane_decomposition
 from polyderive.reports import polygon_to_json
-from polyderive.vectors import _integer_coordinates
 from polyderive.suites import (
     SUITES,
     SuiteResult,
@@ -16,6 +15,7 @@ from polyderive.suites import (
     _run,
     run_suite,
 )
+from polyderive.vectors import _integer_coordinates
 
 COLLINEAR_QUADRANGLE = _integer_coordinates(vecs((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
 COLLINEAR_ANCHOR_HEXAGON = DerivedPolygon(
