@@ -1,22 +1,27 @@
-"""Independent verification layer: identity checks and a float re-run.
+"""Independent verification layer: identity checks and an exact re-run.
 
 The exact pipeline is cross-validated two ways. First, determinant
 identities that hold unconditionally (or under closure alone) are evaluated
 on arbitrary six-vector samples, independent of how support systems are
-constructed. Second, whole analysis reports are re-derived in double
-precision, on plain Python floats kept apart from the exact vector code,
-and every exact zero or equality claim is confirmed within a relative
-tolerance; disagreement flags a pipeline bug, not a data error.
+constructed. Second, whole analysis reports are re-derived modulo a 61-bit
+prime, on plain ints kept apart from the exact vector code, and every
+written value a claim rests on is compared with its re-run value by ``==``.
+No tolerance is involved: a wrong value passes only when the prime divides
+the numerator of its error. Disagreement flags a pipeline bug, not a data
+error. The re-run keeps the names it had when it ran in floats
+(``--float-check``, :func:`float_cross_validate`, :class:`FloatValidation`),
+for compatibility.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polygon import _nonzero, deltas
-from .scalars import Scalar, _ratio
+from .scalars import Scalar, parse_rational
 from .vectors import ZERO_VEC, Vec3, _Value, cross, mixed
 
 
@@ -89,10 +94,14 @@ def derived_relation_defects(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
     return (first, second)
 
 
-# Relative tolerance of every comparison in the float re-run.
-FLOAT_TOLERANCE = 1e-9
+# The primes of the re-run, 2**61 - k: the eight largest below 2**61 that are
+# 3 mod 4, so that a square s modulo p has the square root s**((p + 1) // 4).
+_PRIMES = tuple(2**61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
+_CHUNK = 600  # digits per int() call, below the lowest int-string digit limit (640)
 
-Floats = tuple[float, float, float]
+
+class _NextPrime(Exception):
+    """The prime divides a denominator or divisor, or leaves a radicand no square."""
 
 
 class FloatMismatch(_Value):
@@ -115,289 +124,257 @@ class FloatValidation(_Value):
         self._set("mismatches", mismatches)
 
 
-def _as_float(obj: object) -> float:
-    if isinstance(obj, dict):
-        return _rational_float(obj["a"]) + _rational_float(obj["b"]) * math.sqrt(
-            _rational_float(obj["d"])
-        )
-    if isinstance(obj, str):
-        return _rational_float(obj)
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    raise TypeError(f"cannot convert {obj!r} to float")
+def _digits(text: str, p: int) -> int:
+    """A written integer modulo p; one longer than ``int`` reads is read in chunks."""
+    try:
+        return int(text) % p
+    except ValueError:
+        sign, digits = (text[0], text[1:]) if text[:1] in ("+", "-") else ("+", text)
+        if not (digits.isdigit() and digits.isascii()):
+            raise
+    value = 0
+    for k in range(0, len(digits), _CHUNK):
+        chunk = digits[k : k + _CHUNK]
+        value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+    return -value % p if sign == "-" else value
 
 
-def _rational_float(value: object) -> float:
-    """``float(Fraction(value))``, bit for bit, with no ``Fraction`` for a plain ``"p/q"``.
-
-    Int true division is correctly rounded, and it is what
-    ``Fraction.__float__`` runs on the reduced pair, so ``p / q`` gives the
-    same float and, past double range, the same ``OverflowError``.
-    """
-    ratio = _ratio(value) if type(value) is str else None
-    if ratio is None:
-        return float(Fraction(value))
-    return ratio[0] / ratio[1]
+Ints = tuple[int, int, int]  # a vector of residues, reduced or not
 
 
-def _float_rows(rows: Sequence[Sequence[object]]) -> list[Floats]:
-    return [tuple(_as_float(entry) for entry in row) for row in rows]
-
-
-def _magnitude(values: Iterable[float]) -> float:
-    """The largest absolute value, at least 1."""
-    return max([1.0, *map(abs, values)])
-
-
-def _sub(a: Floats, b: Floats) -> Floats:
+def _diff(a: Ints, b: Ints) -> Ints:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _scale(factor: float, a: Floats) -> Floats:
-    return (factor * a[0], factor * a[1], factor * a[2])
-
-
-def _dot(a: Floats, b: Floats) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a: Floats, b: Floats) -> Floats:
+def _cross(a: Ints, b: Ints) -> Ints:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _sum(vectors: Iterable[Floats]) -> Floats:
-    x = y = z = 0.0
-    for a, b, c in vectors:
-        x, y, z = x + a, y + b, z + c
-    return (x, y, z)
+def _dot(a: Ints, b: Ints) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _area(points: Sequence[Floats]) -> Floats:
+def _sum(vectors: Iterable[Ints]) -> Ints:
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _edges(points: Sequence[Ints]) -> list[Ints]:
+    return [_diff(points[i - len(points) + 1], points[i]) for i in range(len(points))]
+
+
+def _area(points: Sequence[Ints]) -> Ints:
     """Un-halved area vector: the sum of cross(p_i, p_(i+1)), cyclically."""
-    n = len(points)
-    return _sum(_cross(points[i], points[(i + 1) % n]) for i in range(n))
+    return _sum(_cross(points[i - 1], points[i]) for i in range(len(points)))
 
 
-def _det(a: Floats, b: Floats, c: Floats) -> tuple[float, float]:
-    """The determinant of rows a, b, c and the sum of its six terms' absolute values.
-
-    The rounding error of the determinant grows with that sum, which can be
-    far larger than the determinant when the terms cancel.
-    """
-    terms = abs(a[0]) * (abs(b[1] * c[2]) + abs(b[2] * c[1]))
-    terms += abs(a[1]) * (abs(b[2] * c[0]) + abs(b[0] * c[2]))
-    terms += abs(a[2]) * (abs(b[0] * c[1]) + abs(b[1] * c[0]))
-    return _dot(a, _cross(b, c)), terms
-
-
-def _corner_dets(edges: Sequence[Floats]) -> list[tuple[float, float]]:
+def _corner_dets(edges: Sequence[Ints], p: int) -> list[int]:
     n = len(edges)
-    return [_det(edges[i], edges[(i + 1) % n], edges[(i + 2) % n]) for i in range(n)]
+    return [_dot(edges[i], _cross(edges[(i + 1) % n], edges[(i + 2) % n])) % p for i in range(n)]
 
 
-def _edges(points: Sequence[Floats]) -> list[Floats]:
-    n = len(points)
-    return [_sub(points[(i + 1) % n], points[i]) for i in range(n)]
+class _Rerun:
+    """The checks of one re-run modulo the prime ``p``, and the mismatches among them."""
 
-
-class _Recorder:
-    def __init__(self) -> None:
+    def __init__(self, p: int) -> None:
+        self.p = p
         self.checks = 0
         self.mismatches: list[FloatMismatch] = []
+        self._roots: dict[str, tuple[int, int]] = {}
 
-    def _in_range(self, field: str, *values: float) -> bool:
-        """Count one check; a non-finite value fails it as out of float range."""
+    def pair(self, value: object) -> tuple[int, int]:
+        """A written value as a numerator and a nonzero denominator modulo p: a plain
+        ``"p/q"`` as two ints, an ``{"a", "b", "d"}`` object as a + b*sqrt(d)
+        (:meth:`root`), anything else as :func:`parse_rational` reads it."""
+        p = self.p
+        if isinstance(value, dict):
+            (a, c), (b, e) = self.pair(value["a"]), self.pair(value["b"])
+            root, under = self.root(value["d"])
+            num, den = (a * e * under + b * c * root) % p, c * e * under % p
+        else:
+            try:
+                top, slash, bottom = value.partition("/")
+                num, den = _digits(top, p), (_digits(bottom, p) if slash else 1)
+            except (AttributeError, ValueError):  # an int, or a decimal or exponent form
+                exact = parse_rational(value)
+                num, den = exact.numerator % p, exact.denominator % p
+        if not den:
+            raise _NextPrime
+        return num, den
+
+    def root(self, radicand: str) -> tuple[int, int]:
+        """sqrt(u / v) of a written radicand as ``(s, v)``, meaning s / v: s * s = u * v."""
+        if radicand not in self._roots:
+            num, den = self.pair(radicand)
+            square = num * den % self.p
+            root = pow(square, (self.p + 1) // 4, self.p)
+            if not square or root * root % self.p != square:
+                raise _NextPrime
+            self._roots[radicand] = (root, den)
+        return self._roots[radicand]
+
+    def inverses(self, values: Sequence[int]) -> list[int]:
+        """The inverses of ``values`` modulo p, with one pow over their prefix products."""
+        p, prefix = self.p, [1]
+        for value in values:
+            prefix.append(prefix[-1] * value % p)
+        if not prefix[-1]:
+            raise _NextPrime
+        inverse, result = pow(prefix[-1], -1, p), []
+        for i in range(len(values) - 1, -1, -1):
+            result.append(inverse * prefix[i] % p)
+            inverse = inverse * values[i] % p
+        return result[::-1]
+
+    def points(self, rows: Sequence[Sequence[object]]) -> list[Ints]:
+        pairs = [self.pair(value) for row in rows for value in row]
+        inverses = self.inverses([den for _, den in pairs])
+        flat = [num * inverse % self.p for (num, _), inverse in zip(pairs, inverses)]
+        return [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
+
+    def equal(self, value: object, rerun: int, field: str, *index: int, scale: int = 1) -> None:
+        """Count one check: the written ``value`` is ``rerun / scale``, cross-multiplied."""
+        num, den = self.pair(value)
+        self.zero(rerun * den - num * scale, field, *index)
+
+    def zero(self, defect: int, field: str, *index: int) -> None:
+        """Count one check: ``defect`` is zero modulo p. The field is named only if not."""
         self.checks += 1
-        if all(math.isfinite(value) for value in values):
-            return True
-        listed = ", ".join(repr(float(value)) for value in values)
-        self.mismatches.append(FloatMismatch(field, f"out of float range: {listed}"))
-        return False
+        if defect % self.p:
+            name = field + "".join(f"[{i}]" for i in index)
+            detail = f"the report and the re-run differ modulo {self.p}"
+            self.mismatches.append(FloatMismatch(name, detail))
 
-    def close(self, field: str, exact: float, approx: float, scale: float = 1.0) -> None:
-        bound = FLOAT_TOLERANCE * max(1.0, scale, abs(exact), abs(approx))
-        if self._in_range(field, exact, approx, scale) and abs(exact - approx) > bound:
-            self.mismatches.append(
-                FloatMismatch(field, f"exact {exact!r} vs float {approx!r}")
-            )
+    def values(self, written: Sequence[object], rerun: Sequence[int], field: str) -> None:
+        for i, value in enumerate(rerun):
+            self.equal(written[i], value, field, i + 1)
 
-    def close_vector(
-        self, field: str, exact: Sequence[float], approx: Floats, scale: float
-    ) -> None:
-        """Compare the three axes, as ``field[0]`` to ``field[2]``, at one ``scale``."""
+    def rows(self, written: Sequence[Sequence[object]], rerun: Sequence[Ints], field: str) -> None:
+        for i, point in enumerate(rerun):
+            for axis in range(3):
+                self.equal(written[i][axis], point[axis], field, i + 1, axis)
+
+    def vector(self, written: Sequence[object], rerun: Ints, field: str, scale: int = 1) -> None:
         for axis in range(3):
-            self.close(f"{field}[{axis}]", exact[axis], approx[axis], scale)
-
-    def small(self, field: str, value: float, scale: float) -> None:
-        bound = FLOAT_TOLERANCE * max(1.0, scale)
-        if self._in_range(field, value, scale) and abs(value) > bound:
-            self.mismatches.append(
-                FloatMismatch(field, f"expected ~0, float path gives {value!r}")
-            )
-
-    def corner_dets(
-        self, field: str, exact: Sequence[object], dets: Sequence[tuple[float, float]]
-    ) -> None:
-        """Compare each determinant at the larger of the largest one and its own terms."""
-        scale = _magnitude(value for value, _terms in dets)
-        exact_values = [_as_float(value) for value in exact]
-        for i, value in enumerate(exact_values):
-            approx, terms = dets[i]
-            self.close(f"{field}[{i + 1}]", value, approx, max(scale, terms))
+            self.equal(written[axis], rerun[axis], field, axis, scale=scale)
 
 
-def _validate_polygon_block(
-    rec: _Recorder, prefix: str, block: dict, verts: Sequence[Floats]
-) -> None:
+def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[Ints]) -> None:
     """Check the planarity / area / determinant claims of one analysis block."""
+    p = rec.p
     n = len(verts)
-    coord_scale = _magnitude(c for vertex in verts for c in vertex)
     edges = _edges(verts)
 
     if block.get("vertices") is not None:
-        exact = _float_rows(block["vertices"])
-        scale = max(coord_scale, _magnitude(c for vertex in exact for c in vertex))
-        for i in range(n):
-            rec.close_vector(f"{prefix}.vertices[{i + 1}]", exact[i], verts[i], scale)
+        rec.rows(block["vertices"], verts, f"{prefix}.vertices")
 
     planarity = block.get("planarity")
     if planarity and planarity.get("planar") and n >= 4:
-        span_a = _sub(verts[1], verts[0])
-        span_b = _sub(verts[2], verts[0])
+        normal = _cross(_diff(verts[1], verts[0]), _diff(verts[2], verts[0]))
         for k in range(3, n):
-            residual, _terms = _det(span_a, span_b, _sub(verts[k], verts[0]))
-            rec.small(f"{prefix}.planarity[{k + 1}]", residual, coord_scale**3)
+            rec.zero(_dot(_diff(verts[k], verts[0]), normal), f"{prefix}.planarity", k + 1)
 
     if block.get("area_vector") is not None:
-        area = _area(verts)
-        exact_area = [_as_float(c) for c in block["area_vector"]]
-        rec.close_vector(f"{prefix}.area_vector", exact_area, area, coord_scale**2)
+        rec.vector(block["area_vector"], _area(verts), f"{prefix}.area_vector")
 
     if block.get("derivability_defect") is not None:
-        defect = _sum(
-            _cross(edges[i], edges[j]) for i in range(n - 1) for j in range(i + 1, n - 1)
-        )
-        exact_defect = [_as_float(c) for c in block["derivability_defect"]]
-        rec.close_vector(f"{prefix}.derivability_defect", exact_defect, defect, coord_scale**2)
+        # The sum of cross(e_i, e_j) over i < j < n, as that of cross(e_1 + ... + e_(j-1), e_j).
+        heads = itertools.accumulate(edges[: n - 2], lambda a, b: _sum((a, b)))
+        defect = _sum(map(_cross, heads, edges[1 : n - 1]))
+        rec.vector(block["derivability_defect"], defect, f"{prefix}.derivability_defect")
 
     # An analyze report's own "deltas" are the top-level ones, which the
     # caller has already checked.
-    fderived = _corner_dets(edges)
+    dets = _corner_dets(edges, p)
     if block.get("derived_deltas") is not None:
-        rec.corner_dets(f"{prefix}.derived_deltas", block["derived_deltas"], fderived)
+        rec.values(block["derived_deltas"], dets, f"{prefix}.derived_deltas")
 
     if block.get("strongly_regular") and n == 6:
-        delta_scale = _magnitude(value for value, _terms in fderived)
         for i in range(3):
-            (first, first_terms), (opposite, opposite_terms) = fderived[i], fderived[i + 3]
-            rec.small(
-                f"{prefix}.strongly_regular[{i + 1}]",
-                first - opposite,
-                max(delta_scale, first_terms, opposite_terms),
-            )
+            rec.zero(dets[i] - dets[i + 3], f"{prefix}.strongly_regular", i + 1)
 
-    two_plane = block.get("two_plane")
-    if isinstance(two_plane, dict) and "error" not in two_plane and n == 6:
-        normal = _cross(_sub(verts[2], verts[0]), _sub(verts[4], verts[0]))
-        offsets = [_dot(_sub(verts[k], verts[0]), normal) for k in (1, 3, 5)]
-        offset_scale = max(1.0, coord_scale**3)
-        exact_offsets = [_as_float(value) for value in two_plane["even_offsets"]]
-        for i in range(3):
-            rec.close(
-                f"{prefix}.two_plane.even_offsets[{i + 1}]",
-                exact_offsets[i],
-                offsets[i],
-                offset_scale,
-            )
-        if two_plane.get("offsets_equal"):
+    split = block.get("two_plane")
+    if isinstance(split, dict) and "error" not in split and n == 6:
+        field = f"{prefix}.two_plane."
+        normal = [c % p for c in _cross(_diff(verts[2], verts[0]), _diff(verts[4], verts[0]))]
+        offsets = [_dot(_diff(verts[k], verts[0]), normal) % p for k in (1, 3, 5)]
+        rec.values(split["even_offsets"], offsets, f"{field}even_offsets")
+        if split.get("offsets_equal"):
             for i in (1, 2):
-                difference = offsets[i - 1] - offsets[i]
-                rec.small(f"{prefix}.two_plane.offsets[{i}-{i + 1}]", difference, offset_scale)
-        norm_sq = _dot(normal, normal)
+                rec.zero(offsets[i - 1] - offsets[i], f"{field}offsets[{i}-{i + 1}]")
+        # The projections times the normal's squared length, so as not to divide.
+        norm = _dot(normal, normal) % p
+        if not norm:
+            raise _NextPrime
         flat = [
-            _sub(vertex, _scale(offsets[k // 2] / norm_sq, normal)) if k % 2 else vertex
+            [norm * c - (offsets[k // 2] * m if k % 2 else 0) for c, m in zip(vertex, normal)]
             for k, vertex in enumerate(verts)
         ]
         area = _area(flat)
-        exact_area = [_as_float(value) for value in two_plane["projected_area_vector"]]
-        rec.close_vector(
-            f"{prefix}.two_plane.projected_area_vector", exact_area, area, coord_scale**2
-        )
+        rec.vector(split["projected_area_vector"], area, f"{field}projected_area_vector", norm**2)
 
 
 def float_cross_validate(report: dict) -> FloatValidation:
-    """Re-run a report's pipeline in double precision and confirm its claims.
+    """Re-run a report's pipeline modulo a prime and confirm its claims exactly.
 
-    Every exact zero or equality asserted by the report must reappear within
-    ``FLOAT_TOLERANCE``, taken relative to the magnitude of the largest value
-    involved; coordinate growth through determinant products makes an
-    absolute tolerance meaningless. A corner determinant is compared
-    relative to the sum of its six terms' absolute values when that is
-    larger, since cancellation among the terms leaves the rounding error of
-    the terms. Returns diagnostics naming each disagreeing field rather than
-    raising; a value beyond double range, exact or re-run, is an "out of
-    float range" mismatch.
+    Each written value a claim rests on is read modulo p and compared with
+    its value recomputed from the input vertices, by cross-multiplying. The
+    prime is the first of ``_PRIMES`` that divides no written denominator
+    and no divisor of the re-run and leaves each radicand a nonzero square.
+    Returns diagnostics naming each disagreeing field rather than raising;
+    when no listed prime will do, the one mismatch is ``float_rerun``.
     """
-    rec = _Recorder()
-    try:
-        _rerun(rec, report)
-    except (OverflowError, ZeroDivisionError) as exc:
-        rec.mismatches.append(FloatMismatch("float_rerun", f"out of float range: {exc}"))
-    return FloatValidation(not rec.mismatches, rec.checks, tuple(rec.mismatches))
+    for p in _PRIMES:
+        rec = _Rerun(p)
+        try:
+            _rerun(rec, report)
+        except _NextPrime:
+            continue
+        return FloatValidation(not rec.mismatches, rec.checks, tuple(rec.mismatches))
+    detail = "each listed prime divides a denominator or divisor, or leaves a radicand no square"
+    return FloatValidation(False, 0, (FloatMismatch("float_rerun", detail),))
 
 
-def _rerun(rec: _Recorder, report: dict) -> None:
-    verts = _float_rows(report["input_summary"]["vertices"])
+def _rerun(rec: _Rerun, report: dict) -> None:
+    p = rec.p
+    system = report.get("support_system")
+    # Alpha first: a radicand that is no square switches the prime before any other work.
+    alpha = rec.pair(system["alpha"]) if system is not None else None
+    verts = rec.points(report["input_summary"]["vertices"])
     n = len(verts)
     edges = _edges(verts)
-    fdeltas = _corner_dets(edges)
-    values = [value for value, _terms in fdeltas]
+    dets = _corner_dets(edges, p)
 
     if report.get("deltas") is not None:
-        rec.corner_dets("deltas", report["deltas"], fdeltas)
+        rec.values(report["deltas"], dets, "deltas")
 
     verdict = report.get("verdict")
     if verdict is not None:
-        odd = math.prod(values[0::2])
-        even = math.prod(values[1::2])
-        product_scale = max(1.0, abs(odd), abs(even))
-        rec.close("verdict.odd_product", _as_float(verdict["odd_product"]), odd, product_scale)
-        rec.close("verdict.even_product", _as_float(verdict["even_product"]), even, product_scale)
+        odd = math.prod(dets[0::2]) % p
+        even = math.prod(dets[1::2]) % p
+        rec.equal(verdict["odd_product"], odd, "verdict.odd_product")
+        rec.equal(verdict["even_product"], even, "verdict.even_product")
         if verdict["parity"] == "even" and verdict["regular"]:
-            rec.small("verdict.evidence", odd - even, product_scale)
+            rec.zero(odd - even, "verdict.evidence")
         if verdict.get("alpha_squared") is not None:
-            rec.close(
-                "verdict.alpha_squared",
-                _as_float(verdict["alpha_squared"]),
-                odd / even,
-            )
+            if not even:
+                raise _NextPrime
+            rec.equal(verdict["alpha_squared"], odd, "verdict.alpha_squared", scale=even)
 
-    system = report.get("support_system")
-    system_verts: list[Floats] | None = None
     if system is not None:
-        coefficients = [1.0]
-        for k in range(n - 1):
-            coefficients.append(1.0 / (coefficients[k] * values[k]))
-        alpha = _as_float(system["alpha"])
-        system_verts = [
-            _scale(
-                alpha if k % 2 == 1 else 1.0 / alpha,
-                _scale(coefficients[k], _cross(edges[k], edges[(k + 1) % n])),
-            )
-            for k in range(n)
-        ]
-        exact_vectors = _float_rows(system["vectors"])
-        scale = _magnitude(
-            c for rows in (system_verts, exact_vectors) for row in rows for c in row
-        )
-        for i in range(n):
-            rec.close_vector(
-                f"support_system.vectors[{i + 1}]", exact_vectors[i], system_verts[i], scale
-            )
-
-    derived_block = report.get("derived_analysis")
-    if derived_block is not None and system_verts is not None:
-        _validate_polygon_block(rec, "derived_analysis", derived_block, system_verts)
+        # c_1 = 1 and c_(k+1) = 1 / (c_k d_k), with 1 / c_(k+1) = c_k d_k; even
+        # positions (1-based) carry alpha, odd ones 1 / alpha.
+        *inverse, over_num, over_den = rec.inverses([*dets[: n - 1], *alpha])
+        scales = (alpha[1] * over_num, alpha[0] * over_den)
+        coefficient = reciprocal = 1
+        support = []
+        for k in range(n):
+            factor = scales[k % 2] * coefficient % p
+            support.append(tuple(factor * c % p for c in _cross(edges[k], edges[k + 1 - n])))
+            if k < n - 1:
+                coefficient, reciprocal = reciprocal * inverse[k] % p, coefficient * dets[k] % p
+        rec.rows(system["vectors"], support, "support_system.vectors")
+        if report.get("derived_analysis") is not None:
+            _validate_polygon_block(rec, "derived_analysis", report["derived_analysis"], support)
 
     if "planarity" in report or "area_vector" in report:
         _validate_polygon_block(rec, "analysis", report, verts)

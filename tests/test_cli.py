@@ -207,13 +207,25 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "derive", "analyze"])
     def test_float_check_reports_values_beyond_double_range(self, capsys, tmp_path, command):
+        # The re-run is exact, so values beyond double range are confirmed too.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(HUGE_PENTAGON))
         code, report = run_json(capsys, command, str(path), "--float-check")
         assert code == 0
+        checks = {"check": 8, "derive": 46, "analyze": 11}[command]
+        assert report["oracle_results"] == {"ok": True, "checks": checks, "mismatches": []}
+
+    def test_float_check_without_a_usable_prime_fails_its_block_only(self, capsys, tmp_path):
+        # A denominator that every prime of the re-run divides.
+        every = math.prod(2**61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
+        vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", f"1/{every}"]]
+        path = tmp_path / "quadrangle.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, report = run_json(capsys, "check", str(path), "--float-check")
+        assert code == 0
         oracle = report["oracle_results"]
-        assert not oracle["ok"]
-        assert any("out of float range" in m["detail"] for m in oracle["mismatches"])
+        assert oracle["ok"] is False and oracle["checks"] == 0
+        assert [m["field"] for m in oracle["mismatches"]] == ["float_rerun"]
 
 
 def generic_301_gon() -> list:
@@ -241,6 +253,19 @@ class TestReportsOfAnySize:
         assert len(evidence) > 4300
         assert read_long(evidence) == product
         assert report["verdict"]["regular"] == (product > 0)
+
+    def test_float_check_reads_values_past_the_digit_limit(self, capsys, tmp_path):
+        # Scaled by 10**1500 + 7, the pentagon's radicand and determinant
+        # products are longer than int() reads; the re-run reads them in chunks.
+        scale = 10**1500 + 7
+        rows = json.loads(Path(PENTAGON).read_text())["vertices"]
+        path = tmp_path / "pentagon.json"
+        path.write_text(json.dumps({"vertices": [[str(int(c) * scale) for c in row] for row in rows]}))
+        code, report = run_json(capsys, "derive", str(path), "--float-check")
+        assert code == 0
+        assert len(report["support_system"]["alpha"]["d"]) > 4300
+        assert len(report["verdict"]["odd_product"]) > 13000
+        assert report["oracle_results"] == {"ok": True, "checks": 46, "mismatches": []}
 
     def test_derive_completes_on_the_regular_mirror(self):
         polygon = Polygon(tuple(Vec3.of(*row) for row in generic_301_gon()))

@@ -1,4 +1,4 @@
-"""Identity oracles and the float cross-validation path."""
+"""Identity oracles and the exact re-run behind ``--float-check``."""
 
 from __future__ import annotations
 
@@ -29,13 +29,14 @@ from polyderive import (
     regular_hexagon_via_lift,
     row_sum_defect,
 )
-from polyderive.oracle import _as_float
+from polyderive import oracle
+from polyderive.oracle import _PRIMES, _NextPrime, _Rerun
+from polyderive.scalars import _decimal
 from polyderive.reports import analyze_report, check_report, derive_report, polygon_from_json
 
 # Lifted hexagons whose derived determinants at scale 1/2 are up to 1e8 times
-# smaller than the sum of their cofactor terms; a bound relative to the
-# largest determinant alone misfires on the correct reports of each of them,
-# depending on how the determinants are rounded.
+# smaller than the sum of their cofactor terms: in double precision their
+# rounding error hid errors of several percent in the determinants.
 CANCELLING_HEXAGONS = {
     "A": [
         ["0", "0", "0"],
@@ -225,8 +226,7 @@ class TestFloatCrossValidation:
 
     def test_derived_determinant_off_by_one_is_caught(self):
         # The third derived determinant, 4/3, has cofactor terms summing to
-        # about 179, more than any derived determinant: the term-scaled
-        # bound applies and must still catch an error of one.
+        # about 179, more than any derived determinant.
         polygon = Polygon.from_edges(golden.REGULAR_HEXAGON_EDGES)
         report = derive_report(polygon, alpha=Fraction(1))
         corrupted = copy.deepcopy(report)
@@ -290,75 +290,150 @@ class TestFloatCrossValidation:
             "derived_analysis.area_vector[1]",
         ]
 
-    def test_infinite_exact_and_float_values_do_not_pass(self):
-        # Coordinates near 1e120 send the float determinants to infinity, and
-        # b*sqrt(d) = 1e300 * 1e150 overflows the exact side's float form too;
-        # two infinities must be reported, not compared.
-        vertices = [
-            ["0", "0", "0"],
-            ["1e120", "0", "0"],
-            ["1e120", "1e120", "0"],
-            ["1e120", "1e120", "1e120"],
-            ["3e120", "-1e120", "4e120"],
-        ]
-        report = {
-            "input_summary": {"n": 5, "vertices": vertices},
-            "deltas": [{"a": "0", "b": "1e300", "d": "1e300"}] * 5,
-        }
-        validation = float_cross_validate(report)
-        assert not validation.ok
-        assert validation.checks == 5
-        assert all(m.detail.startswith("out of float range") for m in validation.mismatches)
+    def test_each_checked_value_is_named_when_moved_by_one(self):
+        # Every written value the re-run reads, moved by one in its numerator,
+        # fails its own check and no other; alpha fails the values it scales.
+        polygon = polygon_from_json({"vertices": CANCELLING_HEXAGONS["A"]})
+        report = derive_report(polygon, alpha=Fraction(1, 2))
+        fields = checked_values(report)
+        assert len(fields) == 63
+        for path, name in fields:
+            corrupted = copy.deepcopy(report)
+            *parents, last = path
+            container = corrupted
+            for key in parents:
+                container = container[key]
+            container[last] = one_more(container[last])
+            validation = float_cross_validate(corrupted)
+            assert validation.checks == 68
+            names = [m.field for m in validation.mismatches]
+            if name == "support_system.alpha":  # what alpha scales, first the vectors
+                assert names[0].startswith("support_system.vectors["), names
+            else:
+                assert names == [name], path
+
+    def test_first_prime_dividing_a_denominator_moves_to_the_next(self, monkeypatch):
+        m = _PRIMES[0]
+        vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", f"{-2 * m + 1}/{m}"]]
+        report = derive_report(polygon_from_json({"vertices": vertices}), alpha=Fraction(1))
+        assert float_cross_validate(report) == oracle.FloatValidation(True, 38, ())
+        monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
+        assert [m.field for m in float_cross_validate(report).mismatches] == ["float_rerun"]
+        monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
+        assert float_cross_validate(report).ok
+
+    def test_radicand_without_a_root_moves_to_the_next_prime(self, monkeypatch):
+        polygon = polygon_from_json({"vertices": NON_RESIDUE_PENTAGON})
+        report = derive_report(polygon)
+        square = Fraction(report["verdict"]["alpha_squared"])
+        for p, residue in zip(_PRIMES[:2], (False, True)):  # Euler's criterion
+            legendre = pow(square.numerator * square.denominator, (p - 1) // 2, p)
+            assert (legendre == 1) is residue
+        monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
+        assert float_cross_validate(report) == oracle.FloatValidation(True, 46, ())
+        monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
+        assert not float_cross_validate(report).ok
+
+    def test_a_denominator_every_prime_divides_is_one_mismatch(self):
+        every = math.prod(_PRIMES)
+        vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", f"1/{every}"]]
+        validation = float_cross_validate(check_report(polygon_from_json({"vertices": vertices})))
+        assert not validation.ok and validation.checks == 0
+        assert [m.field for m in validation.mismatches] == ["float_rerun"]
 
 
-# Ints up to and past double range, so that quotients overflow, land in the
-# subnormals or round to zero.
+# A regular pentagon whose alpha squared is a square modulo the second prime
+# of the re-run but not modulo the first.
+NON_RESIDUE_PENTAGON = [
+    ["3/7", "-8/5", "7/8"],
+    ["3/5", "1", "9/4"],
+    ["7/3", "0", "-6/5"],
+    ["8/3", "0", "-7/6"],
+    ["2/3", "-1", "2/3"],
+]
+
+
+def one_more(text: str) -> str:
+    """A written rational moved by one in its numerator."""
+    top, slash, bottom = text.partition("/")
+    return f"{int(top) + 1}{slash}{bottom}"
+
+
+def checked_values(report: dict) -> list:
+    """(path, field name) of each written value of an even derive report the re-run reads."""
+    n = report["input_summary"]["n"]
+    fields = [(("verdict", key), f"verdict.{key}") for key in ("odd_product", "even_product")]
+    fields.append((("support_system", "alpha"), "support_system.alpha"))
+    for path, size, axes in (
+        (("deltas",), n, False),
+        (("support_system", "vectors"), n, True),
+        (("derived_analysis", "vertices"), n, True),
+        (("derived_analysis", "derived_deltas"), n, False),
+        (("derived_analysis", "two_plane", "even_offsets"), 3, False),
+    ):
+        name = ".".join(path)
+        for i in range(size):
+            if axes:
+                fields += [(path + (i, a), f"{name}[{i + 1}][{a}]") for a in range(3)]
+            else:
+                fields.append((path + (i,), f"{name}[{i + 1}]"))
+    for key in ("area_vector", "derivability_defect", "two_plane.projected_area_vector"):
+        path = ("derived_analysis", *key.split("."))
+        fields += [(path + (a,), f"derived_analysis.{key}[{a}]") for a in range(3)]
+    return fields
+
+
+# Ints past double range and past the int-string digit limit, which
+# ``scalars._decimal`` writes in full.
 _wide = st.one_of(
     st.integers(-(10**20), 10**20),
     st.integers(-(10**330), 10**330),
-    st.sampled_from([2**1024, 2**1024 - 2**970, 2**1074, 3**700]),
+    st.sampled_from([2**1024, 3**700, 10**5000 + 7, -(3**20000), 7 * _PRIMES[0] + 1]),
 )
+P = _PRIMES[0]
 
 
-def fraction_float(text: str) -> float:
-    return float(Fraction(text))
+def residue(value: Fraction) -> int:
+    return value.numerator * pow(value.denominator, -1, P) % P
+
+
+def read(value: object) -> int:
+    num, den = _Rerun(P).pair(value)
+    return num * pow(den, -1, P) % P
 
 
 class TestWrittenValuesAsFloats:
-    """The oracle reads a plain ``"p/q"`` with the int reader, bit for bit as Fraction did."""
+    """The re-run reads each written value exactly, as its residue modulo a prime.
+
+    The class keeps the name it had when the values were read as floats.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(_wide, _wide.filter(bool), st.sampled_from(["int", "ratio", "ratio"]))
     def test_bit_for_bit(self, p, q, shape):
-        text = str(p) if shape == "int" else f"{p}/{abs(q)}"
-        try:
-            expected = fraction_float(text)
-        except OverflowError as exc:
-            with pytest.raises(OverflowError) as caught:
-                _as_float(text)
-            assert str(caught.value) == str(exc)
+        q = 1 if shape == "int" else abs(q)
+        text = _decimal(p) if shape == "int" else f"{_decimal(p)}/{_decimal(q)}"
+        if q % P == 0:
+            with pytest.raises(_NextPrime):
+                read(text)
         else:
-            assert _as_float(text).hex() == expected.hex()
+            assert read(text) == residue(Fraction(p, q))
 
     @given(_wide, _wide.filter(bool), st.integers(1, 10**6))
     def test_extension_objects(self, a, b, d):
-        value = {"a": str(a), "b": f"{b}/7", "d": str(d)}
-        try:
-            expected = fraction_float(value["a"]) + fraction_float(value["b"]) * math.sqrt(d)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _as_float(value)
-        else:
-            assert _as_float(value).hex() == expected.hex()
-
-    def test_overflow_keeps_its_text(self):
-        text = "1" + "0" * 399  # 400 digits
-        with pytest.raises(OverflowError) as caught:
-            _as_float(text)
-        assert str(caught.value) == "integer division result too large for a float"
-        with pytest.raises(OverflowError, match=f"^{caught.value}$"):
-            fraction_float(text)
+        value = {"a": _decimal(a), "b": f"{_decimal(b)}/7", "d": str(d)}
+        if pow(d, (P - 1) // 2, P) != 1:  # no square root modulo P
+            with pytest.raises(_NextPrime):
+                read(value)
+            return
+        # The root's sign is the reader's choice; its square is d.
+        root = (read(value) - residue(Fraction(a))) * 7 * pow(b, -1, P) % P
+        assert root * root % P == d
 
     @pytest.mark.parametrize("text", [" 1/2", "0.5", "1e-3", "+7", "-0", "3/6"])
     def test_other_strings_read_as_fraction_reads_them(self, text):
-        assert _as_float(text).hex() == fraction_float(text).hex()
+        assert read(text) == residue(Fraction(text))
+
+    def test_a_denominator_the_prime_divides_moves_to_the_next(self):
+        with pytest.raises(_NextPrime):
+            read(f"1/{5 * P}")
