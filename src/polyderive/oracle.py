@@ -266,6 +266,8 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
 
     if block.get("vertices") is not None:
         rec.rows(block["vertices"], verts, f"{prefix}.vertices")
+    if block.get("edges") is not None:
+        rec.rows(block["edges"], edges, f"{prefix}.edges")
 
     planarity = block.get("planarity")
     if planarity and planarity.get("planar") and n >= 4:

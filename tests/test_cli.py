@@ -212,7 +212,7 @@ class TestCheck:
         path.write_text(json.dumps(HUGE_PENTAGON))
         code, report = run_json(capsys, command, str(path), "--float-check")
         assert code == 0
-        checks = {"check": 8, "derive": 46, "analyze": 11}[command]
+        checks = {"check": 8, "derive": 61, "analyze": 11}[command]
         assert report["oracle_results"] == {"ok": True, "checks": checks, "mismatches": []}
 
     def test_float_check_without_a_usable_prime_fails_its_block_only(self, capsys, tmp_path):
@@ -265,7 +265,7 @@ class TestReportsOfAnySize:
         assert code == 0
         assert len(report["support_system"]["alpha"]["d"]) > 4300
         assert len(report["verdict"]["odd_product"]) > 13000
-        assert report["oracle_results"] == {"ok": True, "checks": 46, "mismatches": []}
+        assert report["oracle_results"] == {"ok": True, "checks": 61, "mismatches": []}
 
     def test_derive_completes_on_the_regular_mirror(self):
         polygon = Polygon(tuple(Vec3.of(*row) for row in generic_301_gon()))

@@ -277,13 +277,13 @@ class TestFloatCrossValidation:
     def test_tampered_vector_fields_are_named_by_index_and_axis(self):
         # The same number of checks, and each wrong coordinate named alone.
         report = derive_report(golden.fixture_polygon("hexagon_regular.json"), alpha=Fraction(1))
-        assert float_cross_validate(report).checks == 68
+        assert float_cross_validate(report).checks == 86
         corrupted = copy.deepcopy(report)
         corrupted["support_system"]["vectors"][3][0] = "-33/9"  # true value is -34/9
         corrupted["derived_analysis"]["vertices"][1][2] = "1"  # true value is 0
         corrupted["derived_analysis"]["area_vector"][1] = "1"  # true value is 0
         validation = float_cross_validate(corrupted)
-        assert validation.checks == 68
+        assert validation.checks == 86
         assert [m.field for m in validation.mismatches] == [
             "support_system.vectors[4][0]",
             "derived_analysis.vertices[2][2]",
@@ -296,7 +296,7 @@ class TestFloatCrossValidation:
         polygon = polygon_from_json({"vertices": CANCELLING_HEXAGONS["A"]})
         report = derive_report(polygon, alpha=Fraction(1, 2))
         fields = checked_values(report)
-        assert len(fields) == 63
+        assert len(fields) == 81
         for path, name in fields:
             corrupted = copy.deepcopy(report)
             *parents, last = path
@@ -305,7 +305,7 @@ class TestFloatCrossValidation:
                 container = container[key]
             container[last] = one_more(container[last])
             validation = float_cross_validate(corrupted)
-            assert validation.checks == 68
+            assert validation.checks == 86
             names = [m.field for m in validation.mismatches]
             if name == "support_system.alpha":  # what alpha scales, first the vectors
                 assert names[0].startswith("support_system.vectors["), names
@@ -316,7 +316,7 @@ class TestFloatCrossValidation:
         m = _PRIMES[0]
         vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", f"{-2 * m + 1}/{m}"]]
         report = derive_report(polygon_from_json({"vertices": vertices}), alpha=Fraction(1))
-        assert float_cross_validate(report) == oracle.FloatValidation(True, 38, ())
+        assert float_cross_validate(report) == oracle.FloatValidation(True, 50, ())
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
         assert [m.field for m in float_cross_validate(report).mismatches] == ["float_rerun"]
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
@@ -330,7 +330,7 @@ class TestFloatCrossValidation:
             legendre = pow(square.numerator * square.denominator, (p - 1) // 2, p)
             assert (legendre == 1) is residue
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
-        assert float_cross_validate(report) == oracle.FloatValidation(True, 46, ())
+        assert float_cross_validate(report) == oracle.FloatValidation(True, 61, ())
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
         assert not float_cross_validate(report).ok
 
@@ -368,6 +368,7 @@ def checked_values(report: dict) -> list:
         (("deltas",), n, False),
         (("support_system", "vectors"), n, True),
         (("derived_analysis", "vertices"), n, True),
+        (("derived_analysis", "edges"), n, True),
         (("derived_analysis", "derived_deltas"), n, False),
         (("derived_analysis", "two_plane", "even_offsets"), 3, False),
     ):
