@@ -87,6 +87,15 @@ class IrregularPolygonError(ValueError):
         self.verdict = verdict
 
 
+def _rationals(values: Sequence[Scalar], what: str) -> tuple[Fraction, ...]:
+    """``values`` as a tuple; an extension value, or any other not rational, raises TypeError."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{what} takes rational determinants, got {value!r}")
+    return values
+
+
 def _product(values: Sequence[Fraction]) -> tuple[int, int]:
     """Unreduced int numerator and denominator of a product of rationals."""
     return math.prod(v.numerator for v in values), math.prod(v.denominator for v in values)
@@ -99,9 +108,10 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
     Odd n: regular iff the product of all determinants is positive; the
     squared scale factor (odd product over even product) is reported too.
     Positions are 1-based. The products run on ints, and each reported
-    value is reduced once.
+    value is reduced once. The determinants must be rational: an extension
+    value raises ``TypeError``.
     """
-    values = tuple(delta_values)
+    values = _rationals(delta_values, "the product test")
     _nonzero(values, "corner determinant")
     odd_num, odd_den = _product(values[0::2])
     even_num, even_den = _product(values[1::2])
@@ -156,10 +166,13 @@ def support_basis(
     N_k W_k / (M_k m_k m_{k+1}). The adjacent conditions
     cross(u_k, u_{k+1}) = v_{k+1} for k < n hold by construction;
     :func:`support_system` checks them, with the wrap, on the scaled
-    system. Each returned value is reduced once.
+    system. Each returned value is reduced once. Given determinants must be
+    rational: an extension value raises ``TypeError``.
     """
     form = _integer_coordinates(tuple(edges))
-    return _support_basis(form, _deltas(form) if delta_values is None else tuple(delta_values))
+    if delta_values is None:
+        return _support_basis(form, _deltas(form))
+    return _support_basis(form, _rationals(delta_values, "the support chain"))
 
 
 def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:

@@ -38,6 +38,16 @@ from polyderive import (
 from polyderive.scalars import format_scalar
 
 coords = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def regular_heptagon_and_derived_deltas() -> tuple[Polygon, tuple]:
+    """A regular 7-gon and its derivative's determinants, scale**3 times rationals."""
+    polygon = random_generic_polygon(7, GenConfig(seed=7))
+    if not check_regularity(deltas(edge_vectors(polygon))).regular:
+        polygon = mirror(polygon)
+    values = derived_deltas(derive(build_support_system(edge_vectors(polygon))))
+    assert all(isinstance(value, QuadExt) for value in values)
+    return polygon, values
 vectors = st.builds(lambda x, y, z: Vec3.of(x, y, z), coords, coords, coords)
 
 
@@ -71,8 +81,20 @@ class TestCheckRegularity:
         with pytest.raises(NonGenericPolygonError):
             check_regularity((1, 0, 2, 3))
 
+    def test_extension_determinants_are_a_type_error(self):
+        _polygon, values = regular_heptagon_and_derived_deltas()
+        message = r"^the product test takes rational determinants, got QuadExt\("
+        with pytest.raises(TypeError, match=message):
+            check_regularity(values)
+
 
 class TestSupportBasis:
+    def test_extension_determinants_are_a_type_error(self):
+        polygon, values = regular_heptagon_and_derived_deltas()
+        message = r"^the support chain takes rational determinants, got QuadExt\("
+        with pytest.raises(TypeError, match=message):
+            support_basis(edge_vectors(polygon), values)
+
     def test_quadrangle_chain(self):
         basis = support_basis(golden.QUADRANGLE_EDGES)
         assert basis.vectors == golden.QUADRANGLE_BASIS
