@@ -260,7 +260,8 @@ class TestReportsOfAnySize:
         scale = 10**1500 + 7
         rows = json.loads(Path(PENTAGON).read_text())["vertices"]
         path = tmp_path / "pentagon.json"
-        path.write_text(json.dumps({"vertices": [[str(int(c) * scale) for c in row] for row in rows]}))
+        scaled = [[str(int(c) * scale) for c in row] for row in rows]
+        path.write_text(json.dumps({"vertices": scaled}))
         code, report = run_json(capsys, "derive", str(path), "--float-check")
         assert code == 0
         assert len(report["support_system"]["alpha"]["d"]) > 4300

@@ -314,7 +314,9 @@ class TestFloatCrossValidation:
 
     def test_first_prime_dividing_a_denominator_moves_to_the_next(self, monkeypatch):
         m = _PRIMES[0]
-        vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", f"{-2 * m + 1}/{m}"]]
+        # The quadrangle fixture with its last z moved by 1/m.
+        z = f"{1 - 2 * m}/{m}"
+        vertices = [["0", "0", "0"], ["1", "1", "2"], ["2", "3", "1"], ["-1", "2", z]]
         report = derive_report(polygon_from_json({"vertices": vertices}), alpha=Fraction(1))
         assert float_cross_validate(report) == oracle.FloatValidation(True, 50, ())
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
