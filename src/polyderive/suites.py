@@ -41,6 +41,7 @@ from .polygon import NonGenericPolygonError, Polygon, _deltas, _edges
 from .regularity import (
     _scale,
     _support_basis,
+    _verify_support,
     check_regularity,
     nested_cross_identity,
     support_system,
@@ -288,10 +289,13 @@ def _alternating_products(child: int) -> dict | None:
 
 
 def _derived_relations(child: int) -> dict | None:
-    """Both derived-edge determinant combinations vanish on closed fixtures."""
+    """Both derived-edge determinant combinations vanish on closed fixtures,
+    once the lift's support system is checked against its hexagon."""
     cfg = GenConfig(seed=child)
-    _polygon, system = regular_hexagon_via_lift(cfg)
+    polygon, system = regular_hexagon_via_lift(cfg)
     payload = {"seed": cfg.seed}
+    if not _verify_support(system._form, Fraction(1), polygon._edge_form).ok:
+        return {**payload, "failed": "support system"}
     try:
         first, second = derived_relation_defects(system.vectors)
     except OpenSupportError:

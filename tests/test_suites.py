@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from golden import vecs
-from polyderive import GenConfig, PlanarityReport, random_regular_pentagon, suites
+from polyderive import (
+    GenConfig,
+    HexType,
+    PlanarityReport,
+    SupportSystem,
+    Vec3,
+    random_regular_pentagon,
+    suites,
+)
 from polyderive.derived import DerivedPolygon, _self_intersecting, two_plane_decomposition
 from polyderive.reports import polygon_to_json
 from polyderive.suites import (
@@ -15,7 +26,7 @@ from polyderive.suites import (
     _run,
     run_suite,
 )
-from polyderive.vectors import _integer_coordinates
+from polyderive.vectors import _integer_coordinates, scaled
 
 COLLINEAR_QUADRANGLE = _integer_coordinates(vecs((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)))
 COLLINEAR_ANCHOR_HEXAGON = DerivedPolygon(
@@ -182,6 +193,131 @@ class TestCounterexamples:
         polygon = random_regular_pentagon(GenConfig(seed=example["seed"]))
         assert example["polygon"] == polygon_to_json(polygon)
         assert example["failed"] == "planarity"
+
+
+def replaced(value, **changes):
+    """A copy of a value object with some of its fields changed."""
+    return type(value)(**{**dict(zip(value._fields, value._values())), **changes})
+
+
+def distinct_types(real):
+    """A hex type that differs at every call."""
+    count = itertools.count(1)
+    return lambda values: HexType((Fraction(1), Fraction(next(count)), Fraction(1)))
+
+
+def doubled_first_second_delta(real):
+    """The second derivative's first determinant doubled, both types kept."""
+
+    def second(*args):
+        result = real(*args)
+        first, *rest = result.second_deltas
+        return replaced(result, second_deltas=(2 * first, *rest))
+
+    return second
+
+
+def doubled_lift(real):
+    """The lift with its support system doubled: the rows still close up."""
+
+    def lift(cfg):
+        polygon, system = real(cfg)
+        return polygon, SupportSystem(scaled(system.unscaled, Fraction(2)), system.alpha)
+
+    return lift
+
+
+def split_with(**changes):
+    """The two-plane split with some of its fields changed."""
+    return lambda real: lambda polygon: replaced(real(polygon), **changes)
+
+
+# Per claim a suite checks: the stage it reads, a replacement for that stage
+# built from the real one, and the reason every sample then fails with.
+BROKEN_STAGES = [
+    (
+        "thm31",
+        "random_generic_polygon",
+        lambda real: lambda n, cfg: real(n + 1, cfg),
+        "determinant recurrence",
+    ),
+    ("thm31", "check_regularity", lambda real: lambda values: real((1, -2, 3, -4)), "regularity"),
+    ("thm31", "is_planar", lambda real: lambda polygon: PlanarityReport(False, 4), "planarity"),
+    ("thm31", "_area_vector", lambda real: lambda form: ((1, 0, 0), 1), "zero area vector"),
+    ("thm31", "_self_intersecting", lambda real: lambda form: False, "self-intersection"),
+    ("thm41", "is_planar", lambda real: lambda polygon: PlanarityReport(False, 4), "planarity"),
+    ("thm41", "_area_vector", lambda real: lambda form: ((0, 0, 1), 1), "zero area vector"),
+    (
+        "thm51",
+        "strongly_regular_check",
+        lambda real: lambda values: False,
+        "strong regularity at alpha 1",
+    ),
+    ("thm51", "_hex_type", distinct_types, "type depends on the scale factor"),
+    (
+        "thm52",
+        "_second_derivative_type",
+        lambda real: lambda *args: replaced(real(*args), second_type=HexType((1, 2, 3))),
+        "type changed between derivatives",
+    ),
+    (
+        "thm52",
+        "_second_derivative_type",
+        doubled_first_second_delta,
+        "determinant shift relations",
+    ),
+    (
+        "sec6",
+        "two_plane_decomposition",
+        split_with(odd_offsets=(1, 0, 0)),
+        "anchor-plane offsets not zero",
+    ),
+    ("sec6", "two_plane_decomposition", split_with(even_offsets=(1, 2, 3)), "even offsets differ"),
+    (
+        "sec6",
+        "two_plane_decomposition",
+        split_with(projected_area_vector=Vec3.of(1, 0, 0)),
+        "projected area vector not zero",
+    ),
+    (
+        "eq2",
+        "nested_cross_identity",
+        lambda real: lambda a, b, c: (real(a, b, c)[0], real(b, a, c)[1]),
+        "nested cross identity",
+    ),
+    (
+        "auto-id",
+        "alternating_product_identity",
+        lambda real: lambda vectors: (real(vectors)[0] + 1, real(vectors)[1]),
+        "alternating product identity",
+    ),
+    (
+        "eq4",
+        "derived_relation_defects",
+        lambda real: lambda vectors: real((vectors[1], vectors[0], *vectors[2:])),
+        "row sum defect not zero",
+    ),
+    (
+        "eq4",
+        "derived_relation_defects",
+        lambda real: lambda vectors: (real(vectors)[0] + 1, real(vectors)[1]),
+        "derived determinant relations",
+    ),
+    ("eq4", "regular_hexagon_via_lift", doubled_lift, "support system"),
+]
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize(
+        ("suite", "stage", "breaking", "reason"),
+        BROKEN_STAGES,
+        ids=[f"{suite}-{reason}" for suite, _stage, _breaking, reason in BROKEN_STAGES],
+    )
+    def test_a_broken_stage_fails_every_sample(self, monkeypatch, suite, stage, breaking, reason):
+        monkeypatch.setattr(suites, stage, breaking(getattr(suites, stage)))
+        result = run_suite(suite, 3, seed=5)
+        assert result.failures == result.samples == 3
+        assert result.first_counterexample["failed"] == reason
 
 
 def count_calls(monkeypatch, name: str, owner) -> list:
