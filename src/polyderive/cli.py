@@ -106,7 +106,7 @@ def _emit(document: dict | str, out: str | None = None) -> None:
 
 
 def _emit_report(report: dict, float_check: bool) -> None:
-    """Emit a report, with the float re-run attached when asked for."""
+    """Emit a report, with the exact re-run of ``--float-check`` attached when asked for."""
     if float_check:
         from .oracle import float_cross_validate
 
@@ -276,6 +276,10 @@ class _SuiteIds:
         return (*SUITES, "all")
 
 
+# The flag keeps the name of the double-precision re-run the exact one replaced.
+_FLOAT_CHECK_HELP = "attach an exact re-run of the report modulo a prime (no tolerance)"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="genericity, determinants, regularity verdict")
     check.add_argument("file", help="polygon JSON file")
-    check.add_argument("--float-check", action="store_true", help="attach the float re-run")
+    check.add_argument("--float-check", action="store_true", help=_FLOAT_CHECK_HELP)
     check.set_defaults(func=_cmd_check)
 
     derive = sub.add_parser("derive", help="build the support system and derived polygon")
@@ -301,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="odd n: use the negative square root instead of the canonical one",
     )
-    derive.add_argument("--float-check", action="store_true", help="attach the float re-run")
+    derive.add_argument("--float-check", action="store_true", help=_FLOAT_CHECK_HELP)
     derive.set_defaults(func=_cmd_derive)
 
     analyze = sub.add_parser("analyze", help="planarity, area vector, hexagon structure")
     analyze.add_argument("file", help="polygon JSON file")
-    analyze.add_argument("--float-check", action="store_true", help="attach the float re-run")
+    analyze.add_argument("--float-check", action="store_true", help=_FLOAT_CHECK_HELP)
     analyze.set_defaults(func=_cmd_analyze)
 
     generate = sub.add_parser("generate", help="emit a seeded fixture")

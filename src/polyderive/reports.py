@@ -2,8 +2,7 @@
 
 Input coordinates are exact rational strings or ints. Every numeric field in
 a report is an exact scalar string, or an extension object for the powers of
-an odd polygon's irrational scale; floats appear only in the plot output and
-the optional float validation block.
+an odd polygon's irrational scale; floats appear only in the plot output.
 """
 
 from __future__ import annotations
