@@ -4,13 +4,11 @@ The exact pipeline is cross-validated two ways. First, determinant
 identities that hold unconditionally (or under closure alone) are evaluated
 on arbitrary six-vector samples, independent of how support systems are
 constructed. Second, whole analysis reports are re-derived modulo a 61-bit
-prime, on plain ints kept apart from the exact vector code, and every
-written value a claim rests on is compared with its re-run value by ``==``.
-No tolerance is involved: a wrong value passes only when the prime divides
-the numerator of its error. Disagreement flags a pipeline bug, not a data
-error. The re-run keeps the names it had when it ran in floats
-(``--float-check``, :func:`float_cross_validate`, :class:`FloatValidation`),
-for compatibility.
+prime on plain ints, apart from the exact vector code, and each written value
+a claim rests on is compared with its re-run value by ``==``. No tolerance is
+involved: a wrong value passes only when the prime divides the numerator of
+its error. The re-run keeps its float names (``--float-check``,
+:func:`float_cross_validate`, :class:`FloatValidation`) for compatibility.
 """
 
 from __future__ import annotations
@@ -94,14 +92,13 @@ def derived_relation_defects(vectors: Sequence[Vec3]) -> tuple[Scalar, Scalar]:
     return (first, second)
 
 
-# The primes of the re-run, 2**61 - k: the eight largest below 2**61 that are
-# 3 mod 4, so that a square s modulo p has the square root s**((p + 1) // 4).
+# The primes of the re-run, in the order they are tried.
 _PRIMES = tuple(2**61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
 _CHUNK = 600  # digits per int() call, below the lowest int-string digit limit (640)
 
 
 class _NextPrime(Exception):
-    """The prime divides a denominator or divisor, or leaves a radicand no square."""
+    """The prime divides a written denominator or a divisor of the re-run."""
 
 
 class FloatMismatch(_Value):
@@ -158,59 +155,53 @@ def _sum(vectors: Iterable[Ints]) -> Ints:
     return tuple(map(sum, zip(*vectors)))
 
 
-def _edges(points: Sequence[Ints]) -> list[Ints]:
-    return [_diff(points[i - len(points) + 1], points[i]) for i in range(len(points))]
+def _edges(points: list[Ints]) -> list[Ints]:
+    return list(map(_diff, points[1:] + points[:1], points))
 
 
-def _area(points: Sequence[Ints]) -> Ints:
+def _area(points: list[Ints]) -> Ints:
     """Un-halved area vector: the sum of cross(p_i, p_(i+1)), cyclically."""
-    return _sum(_cross(points[i - 1], points[i]) for i in range(len(points)))
+    return _sum(map(_cross, points, points[1:] + points[:1]))
 
 
-def _corner_dets(edges: Sequence[Ints], p: int) -> list[int]:
-    n = len(edges)
-    return [_dot(edges[i], _cross(edges[(i + 1) % n], edges[(i + 2) % n])) % p for i in range(n)]
+def _corner_dets(edges: list[Ints], p: int) -> list[int]:
+    triples = zip(edges, edges[1:] + edges[:1], edges[2:] + edges[:2])
+    return [_dot(a, _cross(b, c)) % p for a, b, c in triples]
 
 
 class _Rerun:
-    """The checks of one re-run modulo the prime ``p``, and the mismatches among them."""
+    """The checks of one re-run modulo the prime ``p``, and the mismatches among them.
+
+    When alpha is b*sqrt(d), ``radicand`` holds d as written and its two
+    parts: the re-run runs on the support vectors over sqrt(d), so a quantity
+    of degree k in them is d**(k // 2) * sqrt(d)**(k % 2) times its re-run
+    value, and a written a + b*sqrt(d) is compared part by part.
+    """
 
     def __init__(self, p: int) -> None:
         self.p = p
         self.checks = 0
         self.mismatches: list[FloatMismatch] = []
-        self._roots: dict[str, tuple[int, int]] = {}
+        self.radicand: tuple[object, int, int] | None = None
 
     def pair(self, value: object) -> tuple[int, int]:
-        """A written value as a numerator and a nonzero denominator modulo p: a plain
-        ``"p/q"`` as two ints, an ``{"a", "b", "d"}`` object as a + b*sqrt(d)
-        (:meth:`root`), anything else as :func:`parse_rational` reads it."""
-        p = self.p
-        if isinstance(value, dict):
-            (a, c), (b, e) = self.pair(value["a"]), self.pair(value["b"])
-            root, under = self.root(value["d"])
-            num, den = (a * e * under + b * c * root) % p, c * e * under % p
-        else:
-            try:
-                top, slash, bottom = value.partition("/")
-                num, den = _digits(top, p), (_digits(bottom, p) if slash else 1)
-            except (AttributeError, ValueError):  # an int, or a decimal or exponent form
-                exact = parse_rational(value)
-                num, den = exact.numerator % p, exact.denominator % p
+        """A written rational as a numerator and a nonzero denominator modulo p: a plain
+        ``"p/q"`` as two ints, anything else as :func:`parse_rational` reads it."""
+        try:
+            top, slash, bottom = value.partition("/")
+            num, den = _digits(top, self.p), (_digits(bottom, self.p) if slash else 1)
+        except (AttributeError, ValueError):  # an int, or a decimal or exponent form
+            exact = parse_rational(value)
+            num, den = exact.numerator % self.p, exact.denominator % self.p
         if not den:
             raise _NextPrime
         return num, den
 
-    def root(self, radicand: str) -> tuple[int, int]:
-        """sqrt(u / v) of a written radicand as ``(s, v)``, meaning s / v: s * s = u * v."""
-        if radicand not in self._roots:
-            num, den = self.pair(radicand)
-            square = num * den % self.p
-            root = pow(square, (self.p + 1) // 4, self.p)
-            if not square or root * root % self.p != square:
-                raise _NextPrime
-            self._roots[radicand] = (root, den)
-        return self._roots[radicand]
+    def parts(self, value: object) -> list[tuple[int, int]]:
+        """The pairs of a and b of a written a + b*sqrt(d); b = 0 for a rational."""
+        if isinstance(value, dict):
+            return [self.pair(value["a"]), self.pair(value["b"])]
+        return [self.pair(value), (0, 1)]
 
     def inverses(self, values: Sequence[int]) -> list[int]:
         """The inverses of ``values`` modulo p, with one pow over their prefix products."""
@@ -231,31 +222,38 @@ class _Rerun:
         flat = [num * inverse % self.p for (num, _), inverse in zip(pairs, inverses)]
         return [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
 
-    def equal(self, value: object, rerun: int, field: str, *index: int, scale: int = 1) -> None:
-        """Count one check: the written ``value`` is ``rerun / scale``, cross-multiplied."""
-        num, den = self.pair(value)
-        self.zero(rerun * den - num * scale, field, *index)
+    def equal(self, value, rerun: int, field: str, *index: int, scale=1, degree=0) -> None:
+        """Count one check: the written ``value`` is sqrt(d)**degree * rerun / scale."""
+        odd = foreign = 0
+        if degree and self.radicand:
+            written, d, m = self.radicand
+            half, odd = divmod(degree, 2)
+            rerun, scale = rerun * d**half, scale * m**half
+            foreign = odd and isinstance(value, dict) and value["d"] != written
+        parts = self.parts(value)
+        (num, den), (other, _) = parts[odd], parts[1 - odd]
+        self.zero(rerun * den - num * scale, field, *index, other=other or foreign)
 
-    def zero(self, defect: int, field: str, *index: int) -> None:
-        """Count one check: ``defect`` is zero modulo p. The field is named only if not."""
+    def zero(self, defect: int, field: str, *index: int, other=0) -> None:
+        """Count one check: ``defect`` and ``other`` are zero modulo p; name the field if not."""
         self.checks += 1
-        if defect % self.p:
+        if defect % self.p or other:
             name = field + "".join(f"[{i}]" for i in index)
             detail = f"the report and the re-run differ modulo {self.p}"
             self.mismatches.append(FloatMismatch(name, detail))
 
-    def values(self, written: Sequence[object], rerun: Sequence[int], field: str) -> None:
+    def values(self, written: list, rerun: list[int], field: str, degree: int = 0) -> None:
         for i, value in enumerate(rerun):
-            self.equal(written[i], value, field, i + 1)
+            self.equal(written[i], value, field, i + 1, degree=degree)
 
-    def rows(self, written: Sequence[Sequence[object]], rerun: Sequence[Ints], field: str) -> None:
+    def rows(self, written: list, rerun: list[Ints], field: str, degree: int = 0) -> None:
         for i, point in enumerate(rerun):
             for axis in range(3):
-                self.equal(written[i][axis], point[axis], field, i + 1, axis)
+                self.equal(written[i][axis], point[axis], field, i + 1, axis, degree=degree)
 
-    def vector(self, written: Sequence[object], rerun: Ints, field: str, scale: int = 1) -> None:
+    def vector(self, written: list, rerun: Ints, field: str, degree: int, scale: int = 1) -> None:
         for axis in range(3):
-            self.equal(written[axis], rerun[axis], field, axis, scale=scale)
+            self.equal(written[axis], rerun[axis], field, axis, scale=scale, degree=degree)
 
 
 def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[Ints]) -> None:
@@ -265,9 +263,9 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
     edges = _edges(verts)
 
     if block.get("vertices") is not None:
-        rec.rows(block["vertices"], verts, f"{prefix}.vertices")
+        rec.rows(block["vertices"], verts, f"{prefix}.vertices", 1)
     if block.get("edges") is not None:
-        rec.rows(block["edges"], edges, f"{prefix}.edges")
+        rec.rows(block["edges"], edges, f"{prefix}.edges", 1)
 
     planarity = block.get("planarity")
     if planarity and planarity.get("planar") and n >= 4:
@@ -276,19 +274,18 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
             rec.zero(_dot(_diff(verts[k], verts[0]), normal), f"{prefix}.planarity", k + 1)
 
     if block.get("area_vector") is not None:
-        rec.vector(block["area_vector"], _area(verts), f"{prefix}.area_vector")
+        rec.vector(block["area_vector"], _area(verts), f"{prefix}.area_vector", 2)
 
     if block.get("derivability_defect") is not None:
         # The sum of cross(e_i, e_j) over i < j < n, as that of cross(e_1 + ... + e_(j-1), e_j).
         heads = itertools.accumulate(edges[: n - 2], lambda a, b: _sum((a, b)))
         defect = _sum(map(_cross, heads, edges[1 : n - 1]))
-        rec.vector(block["derivability_defect"], defect, f"{prefix}.derivability_defect")
+        rec.vector(block["derivability_defect"], defect, f"{prefix}.derivability_defect", 2)
 
-    # An analyze report's own "deltas" are the top-level ones, which the
-    # caller has already checked.
+    # An analyze report's "deltas" are the top-level ones, which the caller checks.
     dets = _corner_dets(edges, p)
     if block.get("derived_deltas") is not None:
-        rec.values(block["derived_deltas"], dets, f"{prefix}.derived_deltas")
+        rec.values(block["derived_deltas"], dets, f"{prefix}.derived_deltas", 3)
 
     if block.get("strongly_regular") and n == 6:
         for i in range(3):
@@ -299,7 +296,7 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
         field = f"{prefix}.two_plane."
         normal = [c % p for c in _cross(_diff(verts[2], verts[0]), _diff(verts[4], verts[0]))]
         offsets = [_dot(_diff(verts[k], verts[0]), normal) % p for k in (1, 3, 5)]
-        rec.values(split["even_offsets"], offsets, f"{field}even_offsets")
+        rec.values(split["even_offsets"], offsets, f"{field}even_offsets", 3)
         if split.get("offsets_equal"):
             for i in (1, 2):
                 rec.zero(offsets[i - 1] - offsets[i], f"{field}offsets[{i}-{i + 1}]")
@@ -311,8 +308,8 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
             [norm * c - (offsets[k // 2] * m if k % 2 else 0) for c, m in zip(vertex, normal)]
             for k, vertex in enumerate(verts)
         ]
-        area = _area(flat)
-        rec.vector(split["projected_area_vector"], area, f"{field}projected_area_vector", norm**2)
+        written = split["projected_area_vector"]
+        rec.vector(written, _area(flat), f"{field}projected_area_vector", 2, norm**2)
 
 
 def float_cross_validate(report: dict) -> FloatValidation:
@@ -321,9 +318,9 @@ def float_cross_validate(report: dict) -> FloatValidation:
     Each written value a claim rests on is read modulo p and compared with
     its value recomputed from the input vertices, by cross-multiplying. The
     prime is the first of ``_PRIMES`` that divides no written denominator
-    and no divisor of the re-run and leaves each radicand a nonzero square.
-    Returns diagnostics naming each disagreeing field rather than raising;
-    when no listed prime will do, the one mismatch is ``float_rerun``.
+    and no divisor of the re-run. Returns diagnostics naming each
+    disagreeing field rather than raising; when no listed prime will do, the
+    one mismatch is ``float_rerun``.
     """
     for p in _PRIMES:
         rec = _Rerun(p)
@@ -332,15 +329,13 @@ def float_cross_validate(report: dict) -> FloatValidation:
         except _NextPrime:
             continue
         return FloatValidation(not rec.mismatches, rec.checks, tuple(rec.mismatches))
-    detail = "each listed prime divides a denominator or divisor, or leaves a radicand no square"
+    detail = "each listed prime divides a denominator or a divisor of the re-run"
     return FloatValidation(False, 0, (FloatMismatch("float_rerun", detail),))
 
 
 def _rerun(rec: _Rerun, report: dict) -> None:
     p = rec.p
     system = report.get("support_system")
-    # Alpha first: a radicand that is no square switches the prime before any other work.
-    alpha = rec.pair(system["alpha"]) if system is not None else None
     verts = rec.points(report["input_summary"]["vertices"])
     n = len(verts)
     edges = _edges(verts)
@@ -363,10 +358,15 @@ def _rerun(rec: _Rerun, report: dict) -> None:
             rec.equal(verdict["alpha_squared"], odd, "verdict.alpha_squared", scale=even)
 
     if system is not None:
-        # c_1 = 1 and c_(k+1) = 1 / (c_k d_k), with 1 / c_(k+1) = c_k d_k; even
-        # positions (1-based) carry alpha, odd ones 1 / alpha.
-        *inverse, over_num, over_den = rec.inverses([*dets[: n - 1], *alpha])
-        scales = (alpha[1] * over_num, alpha[0] * over_den)
+        # Alpha is (x / y) * sqrt(d / m)**j, j = 1 for a radical. c_1 = 1 and
+        # c_(k+1) = 1 / (c_k d_k), with 1 / c_(k+1) = c_k d_k; even positions
+        # (1-based) carry x / y, odd ones y m / (x d), over sqrt(d / m)**j.
+        alpha = system["alpha"]
+        (a, a_den), (b, b_den) = rec.parts(alpha)
+        x, y, d, m = (b, b_den, *rec.pair(alpha["d"])) if b else (a, a_den, 1, 1)
+        rec.radicand = (alpha["d"], d, m) if b else None
+        *inverse, over, under = rec.inverses([*dets[: n - 1], x * d, y])
+        scales = (y * m * over, x * under)
         coefficient = reciprocal = 1
         support = []
         for k in range(n):
@@ -374,7 +374,7 @@ def _rerun(rec: _Rerun, report: dict) -> None:
             support.append(tuple(factor * c % p for c in _cross(edges[k], edges[k + 1 - n])))
             if k < n - 1:
                 coefficient, reciprocal = reciprocal * inverse[k] % p, coefficient * dets[k] % p
-        rec.rows(system["vectors"], support, "support_system.vectors")
+        rec.rows(system["vectors"], support, "support_system.vectors", 1)
         if report.get("derived_analysis") is not None:
             _validate_polygon_block(rec, "derived_analysis", report["derived_analysis"], support)
 

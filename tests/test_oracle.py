@@ -324,17 +324,25 @@ class TestFloatCrossValidation:
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
         assert float_cross_validate(report).ok
 
-    def test_radicand_without_a_root_moves_to_the_next_prime(self, monkeypatch):
+    @pytest.mark.parametrize("negative_root", [False, True])
+    def test_radicand_without_a_root_modulo_any_prime_verifies(self, monkeypatch, negative_root):
+        # Radical values are compared part by part, so no square root of
+        # alpha squared is taken, and the first prime serves.
         polygon = polygon_from_json({"vertices": NON_RESIDUE_PENTAGON})
-        report = derive_report(polygon)
+        report = derive_report(polygon, negative_root=negative_root)
         square = Fraction(report["verdict"]["alpha_squared"])
-        for p, residue in zip(_PRIMES[:2], (False, True)):  # Euler's criterion
-            legendre = pow(square.numerator * square.denominator, (p - 1) // 2, p)
-            assert (legendre == 1) is residue
-        monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:2])
-        assert float_cross_validate(report) == oracle.FloatValidation(True, 61, ())
+        for p in _PRIMES:  # Euler's criterion: no square modulo p
+            assert pow(square.numerator * square.denominator, (p - 1) // 2, p) == p - 1
         monkeypatch.setattr(oracle, "_PRIMES", _PRIMES[:1])
-        assert not float_cross_validate(report).ok
+        assert float_cross_validate(report) == oracle.FloatValidation(True, 61, ())
+
+    def test_a_radical_over_another_radicand_is_named(self):
+        report = derive_report(golden.fixture_polygon("pentagon.json"))
+        corrupted = copy.deepcopy(report)
+        corrupted["support_system"]["vectors"][1][0]["d"] = "2"  # true radicand 8/5
+        corrupted["derived_analysis"]["area_vector"][2]["d"] = "2"  # rational: any radicand
+        validation = float_cross_validate(corrupted)
+        assert [m.field for m in validation.mismatches] == ["support_system.vectors[2][0]"]
 
     def test_a_denominator_every_prime_divides_is_one_mismatch(self):
         every = math.prod(_PRIMES)
@@ -344,14 +352,14 @@ class TestFloatCrossValidation:
         assert [m.field for m in validation.mismatches] == ["float_rerun"]
 
 
-# A regular pentagon whose alpha squared is a square modulo the second prime
-# of the re-run but not modulo the first.
+# A regular pentagon whose alpha squared, 6004692163/6496143360, is a square
+# modulo none of the primes of the re-run.
 NON_RESIDUE_PENTAGON = [
-    ["3/7", "-8/5", "7/8"],
-    ["3/5", "1", "9/4"],
-    ["7/3", "0", "-6/5"],
-    ["8/3", "0", "-7/6"],
-    ["2/3", "-1", "2/3"],
+    ["3/4", "1", "8/5"],
+    ["9/8", "-2", "7/8"],
+    ["-9/4", "5/4", "3/8"],
+    ["-9/5", "-3/4", "-1/3"],
+    ["-7/4", "-1/4", "1/4"],
 ]
 
 
@@ -400,8 +408,8 @@ def residue(value: Fraction) -> int:
     return value.numerator * pow(value.denominator, -1, P) % P
 
 
-def read(value: object) -> int:
-    num, den = _Rerun(P).pair(value)
+def read(text: str) -> int:
+    num, den = _Rerun(P).pair(text)
     return num * pow(den, -1, P) % P
 
 
@@ -424,14 +432,10 @@ class TestWrittenValuesAsFloats:
 
     @given(_wide, _wide.filter(bool), st.integers(1, 10**6))
     def test_extension_objects(self, a, b, d):
+        # a + b*sqrt(d) is read part by part; the radicand is the report's to check.
         value = {"a": _decimal(a), "b": f"{_decimal(b)}/7", "d": str(d)}
-        if pow(d, (P - 1) // 2, P) != 1:  # no square root modulo P
-            with pytest.raises(_NextPrime):
-                read(value)
-            return
-        # The root's sign is the reader's choice; its square is d.
-        root = (read(value) - residue(Fraction(a))) * 7 * pow(b, -1, P) % P
-        assert root * root % P == d
+        parts = [num * pow(den, -1, P) % P for num, den in _Rerun(P).parts(value)]
+        assert parts == [residue(Fraction(a)), residue(Fraction(b, 7))]
 
     @pytest.mark.parametrize("text", [" 1/2", "0.5", "1e-3", "+7", "-0", "3/6"])
     def test_other_strings_read_as_fraction_reads_them(self, text):

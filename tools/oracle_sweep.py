@@ -29,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HEXAGONS = 600
 ODD_NS = (5, 7, 21)
-ODD_COUNT = 40
+ODD_COUNT = 200
 SEED = "oracle-sweep"
 
 
