@@ -222,7 +222,7 @@ class _Rerun:
         flat = [num * inverse % self.p for (num, _), inverse in zip(pairs, inverses)]
         return [tuple(flat[k : k + 3]) for k in range(0, len(flat), 3)]
 
-    def equal(self, value, rerun: int, field: str, *index: int, scale=1, degree=0) -> None:
+    def equal(self, value, rerun: int, field: str, index=None, scale=1, degree=0) -> None:
         """Count one check: the written ``value`` is sqrt(d)**degree * rerun / scale."""
         odd = foreign = 0
         if degree and self.radicand:
@@ -232,28 +232,29 @@ class _Rerun:
             foreign = odd and isinstance(value, dict) and value["d"] != written
         parts = self.parts(value)
         (num, den), (other, _) = parts[odd], parts[1 - odd]
-        self.zero(rerun * den - num * scale, field, *index, other=other or foreign)
-
-    def zero(self, defect: int, field: str, *index: int, other=0) -> None:
-        """Count one check: ``defect`` and ``other`` are zero modulo p; name the field if not."""
         self.checks += 1
-        if defect % self.p or other:
-            name = field + "".join(f"[{i}]" for i in index)
-            detail = f"the report and the re-run differ modulo {self.p}"
-            self.mismatches.append(FloatMismatch(name, detail))
+        if (rerun * den - num * scale) % self.p or other or foreign:
+            self._fail(field, index)
 
-    def values(self, written: list, rerun: list[int], field: str, degree: int = 0) -> None:
+    def zero(self, defect: int, field: str, index=None) -> None:
+        """Count one check: ``defect`` is zero modulo p."""
+        self.checks += 1
+        if defect % self.p:
+            self._fail(field, index)
+
+    def _fail(self, field: str, index: int | None) -> None:
+        name = field if index is None else f"{field}[{index}]"
+        detail = f"the report and the re-run differ modulo {self.p}"
+        self.mismatches.append(FloatMismatch(name, detail))
+
+    def values(self, written: list, rerun, field: str, degree=0, first=1, scale=1) -> None:
+        """Compare each written value with its re-run value, named ``field[first]`` on."""
         for i, value in enumerate(rerun):
-            self.equal(written[i], value, field, i + 1, degree=degree)
+            self.equal(written[i], value, field, i + first, scale, degree)
 
-    def rows(self, written: list, rerun: list[Ints], field: str, degree: int = 0) -> None:
+    def rows(self, written: list, rerun: list[Ints], field: str, degree: int) -> None:
         for i, point in enumerate(rerun):
-            for axis in range(3):
-                self.equal(written[i][axis], point[axis], field, i + 1, axis, degree=degree)
-
-    def vector(self, written: list, rerun: Ints, field: str, degree: int, scale: int = 1) -> None:
-        for axis in range(3):
-            self.equal(written[axis], rerun[axis], field, axis, scale=scale, degree=degree)
+            self.values(written[i], point, f"{field}[{i + 1}]", degree, first=0)
 
 
 def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[Ints]) -> None:
@@ -274,13 +275,13 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
             rec.zero(_dot(_diff(verts[k], verts[0]), normal), f"{prefix}.planarity", k + 1)
 
     if block.get("area_vector") is not None:
-        rec.vector(block["area_vector"], _area(verts), f"{prefix}.area_vector", 2)
+        rec.values(block["area_vector"], _area(verts), f"{prefix}.area_vector", 2, 0)
 
     if block.get("derivability_defect") is not None:
         # The sum of cross(e_i, e_j) over i < j < n, as that of cross(e_1 + ... + e_(j-1), e_j).
         heads = itertools.accumulate(edges[: n - 2], lambda a, b: _sum((a, b)))
         defect = _sum(map(_cross, heads, edges[1 : n - 1]))
-        rec.vector(block["derivability_defect"], defect, f"{prefix}.derivability_defect", 2)
+        rec.values(block["derivability_defect"], defect, f"{prefix}.derivability_defect", 2, 0)
 
     # An analyze report's "deltas" are the top-level ones, which the caller checks.
     dets = _corner_dets(edges, p)
@@ -309,7 +310,7 @@ def _validate_polygon_block(rec: _Rerun, prefix: str, block: dict, verts: list[I
             for k, vertex in enumerate(verts)
         ]
         written = split["projected_area_vector"]
-        rec.vector(written, _area(flat), f"{field}projected_area_vector", 2, norm**2)
+        rec.values(written, _area(flat), f"{field}projected_area_vector", 2, 0, norm**2)
 
 
 def float_cross_validate(report: dict) -> FloatValidation:
