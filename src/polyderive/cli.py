@@ -276,8 +276,7 @@ class _SuiteIds:
         return (*SUITES, "all")
 
 
-# The flag keeps its name for compatibility; the re-run it attaches is exact.
-_FLOAT_CHECK_HELP = "attach an exact re-run of the report modulo a prime (no tolerance)"
+_FLOAT_CHECK_HELP = "attach an exact re-run of the report modulo a prime (no floats)"
 
 
 @functools.cache

@@ -87,12 +87,12 @@ class IrregularPolygonError(ValueError):
         self.verdict = verdict
 
 
-def _rationals(values: Sequence[Scalar], what: str) -> tuple[Fraction, ...]:
+def _rationals(values: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """``values`` as a tuple; an extension value, or any other not rational, raises TypeError."""
     values = tuple(values)
     for value in values:
         if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"{what} takes rational determinants, got {value!r}")
+            raise TypeError(f"support systems take rational determinants, got {value!r}")
     return values
 
 
@@ -111,7 +111,7 @@ def check_regularity(delta_values: Sequence[Scalar]) -> RegularityVerdict:
     value is reduced once. The determinants must be rational: an extension
     value raises ``TypeError``.
     """
-    values = _rationals(delta_values, "the product test")
+    values = _rationals(delta_values)
     _nonzero(values, "corner determinant")
     odd_num, odd_den = _product(values[0::2])
     even_num, even_den = _product(values[1::2])
@@ -170,9 +170,8 @@ def support_basis(
     rational: an extension value raises ``TypeError``.
     """
     form = _integer_coordinates(tuple(edges))
-    if delta_values is None:
-        return _support_basis(form, _deltas(form))
-    return _support_basis(form, _rationals(delta_values, "the support chain"))
+    values = _deltas(form) if delta_values is None else _rationals(delta_values)
+    return _support_basis(form, values)
 
 
 def _support_basis(edges: _Form, values: Sequence[Fraction]) -> SupportBasis:

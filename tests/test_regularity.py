@@ -83,7 +83,7 @@ class TestCheckRegularity:
 
     def test_extension_determinants_are_a_type_error(self):
         _polygon, values = regular_heptagon_and_derived_deltas()
-        message = r"^the product test takes rational determinants, got QuadExt\("
+        message = r"^support systems take rational determinants, got QuadExt\("
         with pytest.raises(TypeError, match=message):
             check_regularity(values)
 
@@ -91,7 +91,7 @@ class TestCheckRegularity:
 class TestSupportBasis:
     def test_extension_determinants_are_a_type_error(self):
         polygon, values = regular_heptagon_and_derived_deltas()
-        message = r"^the support chain takes rational determinants, got QuadExt\("
+        message = r"^support systems take rational determinants, got QuadExt\("
         with pytest.raises(TypeError, match=message):
             support_basis(edge_vectors(polygon), values)
 
